@@ -238,7 +238,6 @@ def replace(net: SystemNet, old_instance: str, new: Process) -> SystemNet:
     used = set()
     for _, proc in list(net.components) + [("", new)]:
         used.update(proc.interface)
-        used.update(channels_of(proc.body))
         used.update(t.label.comm.channel for t in proc.body.transitions)
     used.update(c for c, _ in net.channel_modes)
 

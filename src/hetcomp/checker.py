@@ -5,23 +5,23 @@ Two query forms are supported, mirroring the Uppaal-style notation:
     A[] not deadlock
     E<> inst.state and inst2.state2 ...
 
-Checking is a breadth-first search over reachable global states, so
-witnesses are shortest paths; ties are broken by the canonical enabled
-order.  A search stopped by the state bound yields the outcome
-"unknown", distinct from both true and false.
+Checking drives `semantics.Search`, the breadth-first engine behind
+`explore` and `product`, and stops at the first target or deadlocked
+state in discovery order, so witnesses are shortest paths with ties
+broken by the canonical enabled order.  A search that the state bound
+cut off without an answer yields "unknown", distinct from true and false.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .algebra import SystemNet
 from .errors import ParseError, QueryError
-from .semantics import (DEFAULT_STATE_BOUND, AsyncReceive, AsyncSend,
-                        GlobalState, GlobalTransition, Handshake, Local,
-                        enabled, initial_state)
+from .semantics import (AsyncReceive, AsyncSend, GlobalState,
+                        GlobalTransition, Handshake, Local, Search)
+from .semantics import enabled  # noqa: F401  wrapped by perfbench/spans.py
 
 
 @dataclass(frozen=True)
@@ -109,22 +109,8 @@ def _satisfies(g: GlobalState, q: Query) -> bool:
     return all(g.local_of(inst) == state for inst, state in q.conjuncts)
 
 
-def _path_to(g: GlobalState,
-             parent: dict[GlobalState, GlobalTransition | None]
-             ) -> tuple[GlobalTransition, ...]:
-    path: list[GlobalTransition] = []
-    while True:
-        step = parent[g]
-        if step is None:
-            return tuple(reversed(path))
-        path.append(step)
-        g = step.source
-
-
 def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
     """BFS decision of q over the reachable global states of net."""
-    if bound is None:
-        bound = DEFAULT_STATE_BOUND
     if q.kind == "reach":
         for inst, state in q.conjuncts:
             proc = net.get(inst) if net.has(inst) else None
@@ -136,27 +122,14 @@ def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
                 raise QueryError(
                     f"query names unknown state {state!r} of instance {inst}")
 
-    start = initial_state(net)
-    parent: dict[GlobalState, GlobalTransition | None] = {start: None}
-    queue: deque[GlobalState] = deque([start])
-    truncated = False
-    while queue:
-        g = queue.popleft()
-        if q.kind == "reach" and _satisfies(g, q):
-            return Verdict("true", _path_to(g, parent))
-        steps = enabled(net, g)
-        if q.kind == "deadlock_free" and not steps:
-            return Verdict("false", _path_to(g, parent))
-        for t in steps:
-            if t.target not in parent:
-                if len(parent) >= bound:
-                    truncated = True
-                    continue
-                parent[t.target] = t
-                queue.append(t.target)
-    if truncated:
-        return Verdict("unknown", None, bound)
-    return Verdict("true" if q.kind == "deadlock_free" else "false")
+    is_reach = q.kind == "reach"
+    search = Search(net, bound)
+    for g, steps in search:
+        if _satisfies(g, q) if is_reach else not steps:
+            return Verdict("true" if is_reach else "false", search.path_to(g))
+    if search.truncated:
+        return Verdict("unknown", None, search.bound)
+    return Verdict("false" if is_reach else "true")
 
 
 def step_to_json(t: GlobalTransition) -> dict:

@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 when every executed check holds, 1 when some check is
 false, 3 when none is false but some is unknown (state bound hit), and
-2 on any error.  The default state bound can be set through the
-HETCOMP_BOUND environment variable; --bound overrides it.
+2 on any error.  The state bound, a positive integer, can be set
+through the HETCOMP_BOUND environment variable; --bound overrides it.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ class Interpreter:
         elif call.func == "check":
             self._check(call)
         elif call.func in ("emit_uppaal", "emit_dot", "emit_lotos"):
-            self._emit(call)
+            if not self.options.skip_emit:
+                self._emit(call)
         else:
             assert call.func == "filter"
             self._eval(call)  # bare filter: evaluated, result discarded
@@ -155,8 +156,6 @@ class Interpreter:
             else:
                 net = with_channel_modes(value, self.modes)
                 text = emitters.emit_dot(product(net, self.options.bound))
-        if self.options.skip_emit:
-            return
         out = Path(filename)
         if not out.is_absolute() and self.options.out_dir:
             out = Path(self.options.out_dir) / out
@@ -267,11 +266,29 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=None,
-                   help="max global states to explore "
+    p.add_argument("--bound", type=_positive, default=None,
+                   help="max global states to explore, a positive integer "
                         "(default: HETCOMP_BOUND or 1000000)")
-    p.add_argument("--trace-len", type=int, default=None, metavar="K",
+    p.add_argument("--trace-len", type=_int_at_least(0), default=None,
+                   metavar="K",
                    help="truncate text-format witness display to K steps")
     p.add_argument("--out-dir", default=None,
                    help="directory prefix for emitted files")
@@ -312,9 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     bound = args.bound
     if bound is None and os.environ.get("HETCOMP_BOUND"):
         try:
-            bound = int(os.environ["HETCOMP_BOUND"])
-        except ValueError:
-            print("error: HETCOMP_BOUND must be an integer", file=sys.stderr)
+            bound = _positive(os.environ["HETCOMP_BOUND"])
+        except argparse.ArgumentTypeError as e:
+            print(f"error: HETCOMP_BOUND: {e}", file=sys.stderr)
             return 2
     options = RunOptions(bound=bound, trace_len=args.trace_len,
                          out_dir=args.out_dir, fmt=args.fmt,

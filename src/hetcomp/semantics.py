@@ -13,17 +13,23 @@ discipline:
   talk to, so its sends and receives interleave freely as local steps;
 * internal actions are always local.
 
-"Shared" means: present in at least two component interfaces.  Buffers
-are tracked for shared asynchronous channels only.
+"Shared" is `algebra.shared_channels`: present in at least two
+component interfaces.  Buffers are tracked for shared asynchronous
+channels only.
+
+One breadth-first engine, `Search`, serves `explore`, `product`,
+`traces` and `checker.check`.  It builds the channel table once per
+search and expands the states it built without re-validating them; the
+public `enabled` validates its state, then calls the same successor step.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
-from .algebra import SystemNet
+from .algebra import ChannelMode, SystemNet, shared_channels
 from .errors import SemanticsError, StateBoundExceeded
 from .lts import Direction, Label, Lts, Transition, parse_label
 
@@ -121,25 +127,24 @@ def step_sort_key(t: GlobalTransition) -> tuple:
     return _kind_sort_key(t.kind) + (t.target.text,)
 
 
-def _interface_counts(net: SystemNet) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for _, proc in net.components:
-        for c in proc.interface:
-            counts[c] = counts.get(c, 0) + 1
-    return counts
+def _channel_table(net: SystemNet) -> dict[str, ChannelMode]:
+    """Each shared channel with its mode, in channel order."""
+    return {c: net.mode_of(c) for c in sorted(shared_channels(net))}
+
+
+def _initial(net: SystemNet, table: dict[str, ChannelMode]) -> GlobalState:
+    locals_ = tuple((inst, proc.body.initial) for inst, proc in net.components)
+    buffers = tuple((c, ()) for c, mode in table.items() if mode.kind == "async")
+    return GlobalState(locals_, buffers)
+
+
+def initial_state(net: SystemNet) -> GlobalState:
+    return _initial(net, _channel_table(net))
 
 
 def tracked_buffers(net: SystemNet) -> list[str]:
     """Shared async channels, the ones whose buffers are part of state."""
-    counts = _interface_counts(net)
-    return sorted(c for c, n in counts.items()
-                  if n >= 2 and net.mode_of(c).kind == "async")
-
-
-def initial_state(net: SystemNet) -> GlobalState:
-    locals_ = tuple((inst, proc.body.initial) for inst, proc in net.components)
-    buffers = tuple((c, ()) for c in tracked_buffers(net))
-    return GlobalState(locals_, buffers)
+    return [c for c, _ in initial_state(net).buffers]
 
 
 def _check_consistent(net: SystemNet, g: GlobalState) -> None:
@@ -149,8 +154,7 @@ def _check_consistent(net: SystemNet, g: GlobalState) -> None:
         if state not in net.get(inst).body.states:
             raise SemanticsError(
                 f"state {state!r} is not a state of component {inst}")
-    expected = tracked_buffers(net)
-    if [c for c, _ in g.buffers] != expected:
+    if [c for c, _ in g.buffers] != tracked_buffers(net):
         raise SemanticsError("global state tracks the wrong buffer set")
     for chan, toks in g.buffers:
         cap = net.mode_of(chan).capacity
@@ -158,67 +162,103 @@ def _check_consistent(net: SystemNet, g: GlobalState) -> None:
             raise SemanticsError(f"buffer of {chan} exceeds capacity {cap}")
 
 
+def _put(pairs: tuple, i: int, value) -> tuple:
+    """pairs with the value of its i-th (key, value) pair replaced."""
+    return pairs[:i] + ((pairs[i][0], value),) + pairs[i + 1:]
+
+
+def _successors(net: SystemNet, table: dict[str, ChannelMode],
+                g: GlobalState) -> list[GlobalTransition]:
+    """`enabled` for a state known to belong to net; table is its channels."""
+    locals_, buffers = g.locals, g.buffers
+    slot = {chan: j for j, (chan, _) in enumerate(buffers)}
+    out: list[GlobalTransition] = []
+    receivers: dict[str, list[tuple[int, Transition]]] = {}
+    senders: dict[str, list[tuple[int, Transition]]] = {}
+
+    for i, (inst, proc) in enumerate(net.components):
+        for t in proc.body.outgoing(locals_[i][1]):
+            comm = t.label.comm
+            mode = table.get(comm.channel)
+            if comm.direction is Direction.INTERNAL or mode is None:
+                out.append(GlobalTransition(
+                    g, Local(inst, t.label.text),
+                    GlobalState(_put(locals_, i, t.target), buffers), t.label))
+            elif mode.kind == "sync":
+                side = senders if comm.direction is Direction.SEND else receivers
+                side.setdefault(comm.channel, []).append((i, t))
+            else:
+                j = slot[comm.channel]
+                toks = buffers[j][1]
+                if comm.direction is Direction.SEND and len(toks) < mode.capacity:
+                    out.append(GlobalTransition(
+                        g, AsyncSend(comm.channel, inst),
+                        GlobalState(_put(locals_, i, t.target),
+                                    _put(buffers, j, toks + (inst,)))))
+                elif comm.direction is Direction.RECEIVE and toks:
+                    out.append(GlobalTransition(
+                        g, AsyncReceive(comm.channel, inst),
+                        GlobalState(_put(locals_, i, t.target),
+                                    _put(buffers, j, toks[1:]))))
+
+    for chan, sends in senders.items():
+        for si, s_t in sends:
+            for ri, r_t in receivers.get(chan, ()):
+                if ri != si:
+                    moved = _put(_put(locals_, si, s_t.target), ri, r_t.target)
+                    out.append(GlobalTransition(
+                        g, Handshake(chan, locals_[si][0], locals_[ri][0]),
+                        GlobalState(moved, buffers)))
+
+    return sorted(set(out), key=step_sort_key)
+
+
 def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:
     """All global transitions permitted from g, in canonical order."""
     _check_consistent(net, g)
-    counts = _interface_counts(net)
-    locals_map = dict(g.locals)
-    buffers_map = {c: toks for c, toks in g.buffers}
+    return _successors(net, _channel_table(net), g)
 
-    def moved(inst: str, to: str, buffer_change: tuple[str, tuple[str, ...]] | None = None
-              ) -> GlobalState:
-        new_locals = tuple((i, to if i == inst else s) for i, s in g.locals)
-        if buffer_change is None:
-            return GlobalState(new_locals, g.buffers)
-        chan, toks = buffer_change
-        new_buffers = tuple((c, toks if c == chan else old)
-                            for c, old in g.buffers)
-        return GlobalState(new_locals, new_buffers)
 
-    out: list[GlobalTransition] = []
-    receivers: dict[str, list[tuple[str, Transition]]] = {}
-    senders: dict[str, list[tuple[str, Transition]]] = {}
+class Search:
+    """One breadth-first search over the reachable global states of net.
 
-    for inst, proc in net.components:
-        here = locals_map[inst]
-        for t in proc.body.outgoing(here):
-            comm = t.label.comm
-            if comm.direction is Direction.INTERNAL or counts.get(comm.channel, 0) < 2:
-                out.append(GlobalTransition(g, Local(inst, t.label.text),
-                                            moved(inst, t.target), t.label))
-                continue
-            mode = net.mode_of(comm.channel)
-            if mode.kind == "sync":
-                side = senders if comm.direction is Direction.SEND else receivers
-                side.setdefault(comm.channel, []).append((inst, t))
-            elif comm.direction is Direction.SEND:
-                buf = buffers_map[comm.channel]
-                if len(buf) < mode.capacity:
-                    out.append(GlobalTransition(
-                        g, AsyncSend(comm.channel, inst),
-                        moved(inst, t.target, (comm.channel, buf + (inst,)))))
-            else:
-                buf = buffers_map[comm.channel]
-                if buf:
-                    out.append(GlobalTransition(
-                        g, AsyncReceive(comm.channel, inst),
-                        moved(inst, t.target, (comm.channel, buf[1:]))))
+    Iterated once, it yields each state with its canonical enabled steps
+    in discovery order, after discovering their targets.  At most `bound`
+    states are discovered; `truncated` records that one was cut off.
+    `parent` maps each discovered state to the step that first reached it.
+    """
 
-    for chan, sends in senders.items():
-        for s_inst, s_t in sends:
-            for r_inst, r_t in receivers.get(chan, ()):
-                if r_inst == s_inst:
-                    continue
-                new_locals = tuple(
-                    (i, s_t.target if i == s_inst
-                     else r_t.target if i == r_inst else s)
-                    for i, s in g.locals)
-                out.append(GlobalTransition(
-                    g, Handshake(chan, s_inst, r_inst),
-                    GlobalState(new_locals, g.buffers)))
+    def __init__(self, net: SystemNet, bound: int | None = None):
+        self.net = net
+        self.bound = DEFAULT_STATE_BOUND if bound is None else bound
+        self.table = _channel_table(net)
+        self.parent: dict[GlobalState, GlobalTransition | None] = {
+            _initial(net, self.table): None}
+        self.truncated = False
 
-    out = sorted(set(out), key=step_sort_key)
-    return out
+    def __iter__(self) -> Iterator[tuple[GlobalState, list[GlobalTransition]]]:
+        net, table, parent, bound = self.net, self.table, self.parent, self.bound
+        queue = deque(parent)
+        while queue:
+            g = queue.popleft()
+            steps = _successors(net, table, g)
+            for t in steps:
+                if t.target not in parent:
+                    if len(parent) < bound:
+                        parent[t.target] = t
+                        queue.append(t.target)
+                    else:
+                        self.truncated = True
+            yield g, steps
+
+    def path_to(self, g: GlobalState) -> tuple[GlobalTransition, ...]:
+        """The shortest path from the initial state to discovered g."""
+        path: list[GlobalTransition] = []
+        step = self.parent[g]
+        while step is not None:
+            path.append(step)
+            step = self.parent[step.source]
+        return tuple(reversed(path))
 
 
 def explore(net: SystemNet, bound: int | None = None
@@ -227,57 +267,40 @@ def explore(net: SystemNet, bound: int | None = None
 
     Returns the states in discovery order plus each state's enabled
     list.  Raises StateBoundExceeded when more than `bound` states are
-    discovered.
+    reachable.
     """
-    if bound is None:
-        bound = DEFAULT_STATE_BOUND
-    start = initial_state(net)
-    seen: dict[GlobalState, None] = {start: None}
-    queue: deque[GlobalState] = deque([start])
+    search = Search(net, bound)
     steps: dict[GlobalState, list[GlobalTransition]] = {}
-    while queue:
-        g = queue.popleft()
-        here = enabled(net, g)
+    for g, here in search:
         steps[g] = here
-        for t in here:
-            assert t.source == g
-            if t.target not in seen:
-                _check_consistent(net, t.target)
-                if len(seen) >= bound:
-                    raise StateBoundExceeded(bound, len(queue) + 1)
-                seen[t.target] = None
-                queue.append(t.target)
-    return list(seen), steps
+        if search.truncated:
+            raise StateBoundExceeded(search.bound,
+                                     len(search.parent) - len(steps))
+    return list(search.parent), steps
 
 
 def product(net: SystemNet, bound: int | None = None) -> Lts:
     """The reachable global LTS, with canonical state names and labels."""
     states, steps = explore(net, bound)
-    names = [g.text for g in states]
     transitions = [
         Transition(g.text, t.label, t.target.text)
         for g in states for t in steps[g]
     ]
-    return Lts(names, initial_state(net).text, transitions)
+    return Lts([g.text for g in states], states[0].text, transitions)
 
 
 def traces(net: SystemNet, k: int, bound: int | None = None
            ) -> set[tuple[str, ...]]:
     """All label-text sequences of length <= k, as a set."""
-    lts = product(net, bound)
-    succ: dict[str, list[tuple[str, str]]] = {s: [] for s in lts.states}
-    for t in lts.sorted_transitions():
-        succ[t.source].append((t.label.text, t.target))
-    out: set[tuple[str, ...]] = set()
-
-    def walk(state: str, prefix: tuple[str, ...]) -> None:
-        out.add(prefix)
-        if len(prefix) == k:
-            return
-        for text, target in succ[state]:
-            walk(target, prefix + (text,))
-
-    walk(lts.initial, ())
+    states, steps = explore(net, bound)
+    layer = {((), states[0])}
+    out: set[tuple[str, ...]] = {()}
+    for _ in range(k):
+        layer = {(prefix + (t.label.text,), t.target)
+                 for prefix, g in layer for t in steps[g]}
+        if not layer:
+            break
+        out.update(prefix for prefix, _ in layer)
     return out
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -5,6 +6,12 @@ import pytest
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# CLI tests start child interpreters in other working directories, where a
+# relative PYTHONPATH entry such as "src" no longer finds the package.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 
 from hetcomp import (DEADLOCK_FREE, Label, Lts, ParseError, Process, Query,
                      QueryError, Transition, Verdict, async_mode, check,
-                     compose, enabled, initial_state, parse_label,
+                     compose, enabled, explore, initial_state, parse_label,
                      parse_query, reach, verdict_to_json, with_channel_modes)
 import bruteforce
 from gen import random_conjuncts, random_net
@@ -140,6 +140,34 @@ def test_witnesses_replay_under_enabled():
             end = _replay(net, w.witness)
             assert all(end.local_of(i) == s for i, s in q.conjuncts)
     assert seen_false > 5 and seen_true > 5
+
+
+def test_witnesses_end_at_first_hit_in_explore_order():
+    # check and explore run one engine: the witness ends at the first
+    # matching state in explore's discovery order, at its BFS depth
+    rng = random.Random(24)
+    seen_dead = seen_hit = 0
+    for _ in range(80):
+        net = random_net(rng)
+        states, steps = explore(net)
+        depth = {states[0]: 0}
+        for g in states:
+            for t in steps[g]:
+                depth.setdefault(t.target, depth[g] + 1)
+        q = reach(*random_conjuncts(rng, net))
+        for query, hits in (
+                (DEADLOCK_FREE, [g for g in states if not steps[g]]),
+                (q, [g for g in states
+                     if all(g.local_of(i) == s for i, s in q.conjuncts)])):
+            v = check(net, query)
+            if not hits:
+                assert v.witness is None
+                continue
+            seen_dead += query is DEADLOCK_FREE
+            seen_hit += query is q
+            assert _replay(net, v.witness) == hits[0]
+            assert len(v.witness) == depth[hits[0]]
+    assert seen_dead > 5 and seen_hit > 5
 
 
 # ---- bounded search and unknown ----

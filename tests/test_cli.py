@@ -167,6 +167,18 @@ def test_env_bound_respected_and_flag_overrides(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args, env, named", [
+    (["--bound", "0"], None, "--bound"),
+    (["--bound", "-5"], None, "--bound"),
+    ([], {"HETCOMP_BOUND": "0"}, "HETCOMP_BOUND"),
+    (["--trace-len", "-1"], None, "--trace-len"),
+])
+def test_bad_numbers_exit_two_and_name_the_flag(rendezvous, args, env, named):
+    r = run_cli("run", str(rendezvous), *args, env=env)
+    assert r.returncode == 2
+    assert named in r.stderr and r.stdout == ""
+
+
 # ---- output formats ----
 
 def test_json_format(rendezvous):
@@ -203,6 +215,19 @@ def test_check_runs_but_writes_nothing(tmp_path, corpus_dir):
     assert "check A[] not deadlock: true" in r.stdout
     assert "wrote" not in r.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_check_skips_emit_before_building_it(tmp_path):
+    # the product has 3 states, over the bound: check must not build it
+    write(tmp_path, "ring.dot",
+          'digraph r { s0 -> s1 [label="go"]; s1 -> s2 [label="go"]; '
+          's2 -> s0 [label="go"]; }\n')
+    script = write(tmp_path, "s.hcs",
+                   'r = dot("ring.dot")\nemit_dot(compose(r), "p.dot")\n')
+    out = tmp_path / "out"
+    r = run_cli("check", str(script), "--bound", "2", "--out-dir", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "" and not out.exists()
 
 
 # ---- convert ----

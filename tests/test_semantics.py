@@ -230,6 +230,13 @@ def test_traces_grow_with_k():
         assert max(map(len, traces(net, k))) == k
 
 
+def test_traces_of_a_long_chain():
+    chain = [(f"s{i}", "step", f"s{i + 1}") for i in range(5000)]
+    seqs = traces(compose(proc("A", *chain)), 5000)
+    assert len(seqs) == 5001
+    assert ("step",) * 5000 in seqs
+
+
 def test_traces_equal_matches_literal_traces():
     rng = random.Random(13)
     for _ in range(60):
