@@ -111,25 +111,25 @@ class SystemNet:
         object.__setattr__(self, "components", tuple(sorted(pairs)))
         object.__setattr__(self, "channel_modes",
                            tuple(sorted(dict(modes).items())))
+        # lookup tables, not fields: no part in equality, hashing or repr
+        object.__setattr__(self, "_by_name", dict(self.components))
+        object.__setattr__(self, "_modes", dict(self.channel_modes))
 
     def instance_names(self) -> list[str]:
         return [n for n, _ in self.components]
 
     def get(self, instance: str) -> Process:
-        for n, p in self.components:
-            if n == instance:
-                return p
-        raise AlgebraError(f"no component named {instance!r} in the net "
-                           f"({', '.join(self.instance_names())})")
+        try:
+            return self._by_name[instance]
+        except KeyError:
+            raise AlgebraError(f"no component named {instance!r} in the net "
+                               f"({', '.join(self.instance_names())})") from None
 
     def has(self, instance: str) -> bool:
-        return any(n == instance for n, _ in self.components)
+        return instance in self._by_name
 
     def mode_of(self, channel: str) -> ChannelMode:
-        for c, m in self.channel_modes:
-            if c == channel:
-                return m
-        return SYNC
+        return self._modes.get(channel, SYNC)
 
 
 def shared_channels(net: SystemNet) -> set[str]:

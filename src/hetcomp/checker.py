@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import SystemNet
-from .errors import ParseError, QueryError
+from .errors import AlgebraError, ParseError, QueryError
 from .semantics import (AsyncReceive, AsyncSend, GlobalState,
                         GlobalTransition, Handshake, Local, Search)
 from .semantics import enabled  # noqa: F401  wrapped by perfbench/spans.py
@@ -113,11 +113,12 @@ def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
     """BFS decision of q over the reachable global states of net."""
     if q.kind == "reach":
         for inst, state in q.conjuncts:
-            proc = net.get(inst) if net.has(inst) else None
-            if proc is None:
+            try:
+                proc = net.get(inst)
+            except AlgebraError:
                 raise QueryError(
                     f"query names unknown instance {inst!r} "
-                    f"(net has: {', '.join(net.instance_names())})")
+                    f"(net has: {', '.join(net.instance_names())})") from None
             if state not in proc.body.states:
                 raise QueryError(
                     f"query names unknown state {state!r} of instance {inst}")

@@ -56,6 +56,16 @@ def load_process(path: Path) -> Process:
                    document_to_lts(doc, source=str(path)))
 
 
+def _write_output(text: str, filename: str, out_dir: str | None) -> None:
+    """Write text to filename, under out_dir when it is relative."""
+    out = Path(filename)
+    if not out.is_absolute() and out_dir:
+        out = Path(out_dir) / out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+    print(f"wrote {out}")
+
+
 class Interpreter:
     """Executes a parsed script statement by statement."""
 
@@ -141,7 +151,6 @@ class Interpreter:
 
     def _emit(self, call: Call) -> None:
         value = self._eval(call.args[0])
-        filename = call.args[1].value
         if call.func == "emit_uppaal":
             net = with_channel_modes(self._as_net(value), self.modes)
             text = emitters.emit_uppaal(net)
@@ -156,12 +165,7 @@ class Interpreter:
             else:
                 net = with_channel_modes(value, self.modes)
                 text = emitters.emit_dot(product(net, self.options.bound))
-        out = Path(filename)
-        if not out.is_absolute() and self.options.out_dir:
-            out = Path(self.options.out_dir) / out
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
+        _write_output(text, call.args[1].value, self.options.out_dir)
 
     # ---- expressions ----
 
@@ -255,12 +259,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.output:
-        out = Path(args.output)
-        if not out.is_absolute() and args.out_dir:
-            out = Path(args.out_dir) / out
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
+        _write_output(text, args.output, args.out_dir)
     else:
         sys.stdout.write(text)
     return 0

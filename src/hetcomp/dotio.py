@@ -10,18 +10,30 @@ colour markup is stripped before the label grammar applies.
 
 The initial state is the node marked ``init=true`` when present, and
 the source of the first edge statement otherwise.
+
+The scanner matches compiled patterns at a cursor and turns offsets
+into line:col by bisecting a table of newline offsets built once, so
+parsing stays linear in the size of the text.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import HetcompError, ParseError
 from .lts import Label, Lts, Transition, parse_label
 
-_NAME_CHARS = re.compile(r"[A-Za-z0-9_.]")
-_VALUE_CHARS = re.compile(r"[A-Za-z0-9_.+\-!?]")
+#: Whitespace and comments, as many as follow one another; an
+#: unterminated ``/*`` stops the match in front of it.
+_SKIP_RE = re.compile(r"(?:\s+|(?://|#)[^\n]*\n?|/\*.*?\*/)*", re.S)
+#: A quoted string, body in group 1; ``\"`` and ``\\`` are the escapes,
+#: any other backslash stands for itself.
+_QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+_UNESCAPE_RE = re.compile(r'\\(["\\])')
+_NAME_RE = re.compile(_QUOTED + r"|[A-Za-z0-9_.]+", re.S)
+_VALUE_RE = re.compile(_QUOTED + r"|[A-Za-z0-9_.+\-!?]+", re.S)
 
 
 @dataclass
@@ -51,37 +63,27 @@ class DotDocument:
 
 
 class _Scanner:
+    """A cursor over the text; tokens are patterns matched at the cursor."""
+
     def __init__(self, text: str, source: str):
         self.text = text
         self.source = source
         self.pos = 0
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
 
     def line_col(self, pos: int | None = None) -> tuple[int, int]:
         p = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, p) + 1
-        col = p - self.text.rfind("\n", 0, p)
-        return line, col
+        i = bisect_left(self.newlines, p)
+        return i + 1, p - (self.newlines[i - 1] if i else -1)
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         line, col = self.line_col(pos)
         return ParseError(message, line=line, col=col, source=self.source)
 
     def skip(self) -> None:
-        t, n = self.text, len(self.text)
-        while self.pos < n:
-            c = t[self.pos]
-            if c.isspace():
-                self.pos += 1
-            elif t.startswith("//", self.pos) or c == "#":
-                nl = t.find("\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif t.startswith("/*", self.pos):
-                end = t.find("*/", self.pos + 2)
-                if end < 0:
-                    raise self.error("unterminated /* comment")
-                self.pos = end + 2
-            else:
-                return
+        self.pos = _SKIP_RE.match(self.text, self.pos).end()
+        if self.text.startswith("/*", self.pos):
+            raise self.error("unterminated /* comment")
 
     def at_end(self) -> bool:
         self.skip()
@@ -102,62 +104,27 @@ class _Scanner:
         self.skip()
         return self.text.startswith(sym, self.pos)
 
-    def _scan_quoted(self) -> str:
-        # pos is at the opening quote
-        start = self.pos
-        self.pos += 1
-        out: list[str] = []
-        t, n = self.text, len(self.text)
-        while self.pos < n:
-            c = t[self.pos]
-            if c == '"':
-                self.pos += 1
-                return "".join(out)
-            if c == "\\" and self.pos + 1 < n and t[self.pos + 1] in '"\\':
-                out.append(t[self.pos + 1])
-                self.pos += 2
-            else:
-                out.append(c)
-                self.pos += 1
-        raise self.error("unterminated string", start)
-
-    def _scan_run(self, chars: re.Pattern[str]) -> str:
-        start = self.pos
-        t, n = self.text, len(self.text)
-        while self.pos < n and chars.match(t[self.pos]):
-            self.pos += 1
-        return t[start:self.pos]
+    def _token(self, pattern: re.Pattern[str], what: str) -> str:
+        """A quoted string (unescaped) or a bare run matched by pattern."""
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            if self.text.startswith('"', self.pos):
+                raise self.error("unterminated string")
+            raise self.error(f"expected {what}")
+        self.pos = m.end()
+        quoted = m.group(1)
+        return m.group() if quoted is None else _UNESCAPE_RE.sub(r"\1", quoted)
 
     def name(self, what: str) -> str:
         self.skip()
-        if self.pos < len(self.text):
-            if self.text[self.pos] == '"':
-                return self._scan_quoted()
-            if _NAME_CHARS.match(self.text[self.pos]):
-                return self._scan_run(_NAME_CHARS)
-        raise self.error(f"expected {what}")
-
-    def try_name(self) -> str | None:
-        self.skip()
-        if self.pos < len(self.text):
-            if self.text[self.pos] == '"':
-                return self._scan_quoted()
-            if _NAME_CHARS.match(self.text[self.pos]):
-                return self._scan_run(_NAME_CHARS)
-        return None
+        return self._token(_NAME_RE, what)
 
     def value(self) -> str:
         """An attribute value: bare token, quoted string, or {...} group."""
         self.skip()
-        if self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == '"':
-                return self._scan_quoted()
-            if c == "{":
-                return self._scan_braces()
-            if _VALUE_CHARS.match(c):
-                return self._scan_run(_VALUE_CHARS)
-        raise self.error("expected an attribute value")
+        if self.text.startswith("{", self.pos):
+            return self._scan_braces()
+        return self._token(_VALUE_RE, "an attribute value")
 
     def _scan_braces(self) -> str:
         start = self.pos
@@ -190,8 +157,7 @@ def _parse_attr_list(sc: _Scanner) -> dict[str, str]:
 
 def parse_dot_document(text: str, source: str = "<dot>") -> DotDocument:
     sc = _Scanner(text, source)
-    sc.skip()
-    if sc.try_name() != "digraph":
+    if sc.name("'digraph'") != "digraph":
         raise sc.error("expected 'digraph'")
     if sc.peek_symbol("{"):
         graph_name = ""
@@ -204,7 +170,6 @@ def parse_dot_document(text: str, source: str = "<dot>") -> DotDocument:
             break
         if sc.at_end():
             raise sc.error("unexpected end of input: missing '}'")
-        sc.skip()
         line, col = sc.line_col()
         name = sc.name("a node name or '}'")
         if sc.peek_symbol("->"):

@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 
 from .algebra import Process, SystemNet, shared_channels
 from .errors import EmitError
-from .lts import Direction, Lts
+from .lts import Direction, Lts, channels_of
 
 _UPPAAL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -138,8 +138,7 @@ def emit_lotos(p: Process) -> str:
     of action prefixes.  LOTOS gates are directionless, so the original
     `!`/`?` direction of each action rides along in a comment.
     """
-    gates = sorted({t.label.comm.channel for t in p.body.transitions
-                    if t.label.comm.direction is not Direction.INTERNAL})
+    gates = sorted(channels_of(p.body))
     gate_list = f" [{', '.join(gates)}]" if gates else ""
 
     proc_names: dict[str, str] = {}

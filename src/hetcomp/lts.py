@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable
 
 from .errors import HetcompError, ParseError
@@ -178,7 +180,10 @@ class Transition:
 
 @dataclass(frozen=True)
 class Lts:
-    """States, one initial state, and a set of labelled transitions."""
+    """States, one initial state, and a set of labelled transitions.
+
+    `outgoing` reads a per-state index built once, on first use.
+    """
 
     states: frozenset[str]
     initial: str
@@ -201,9 +206,15 @@ class Lts:
     def sorted_transitions(self) -> list[Transition]:
         return sorted(self.transitions, key=_transition_key)
 
-    def outgoing(self, state: str) -> list[Transition]:
-        return sorted((t for t in self.transitions if t.source == state),
-                      key=_transition_key)
+    def outgoing(self, state: str) -> tuple[Transition, ...]:
+        """Transitions leaving state, in canonical order (() if none)."""
+        return self._outgoing.get(state, ())
+
+    @cached_property
+    def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
+        # a cached attribute, not a field: no part in equality, hash or repr
+        return {s: tuple(ts) for s, ts in
+                groupby(self.sorted_transitions(), lambda t: t.source)}
 
 
 def _transition_key(t: Transition) -> tuple[str, str, str]:
@@ -267,17 +278,19 @@ def isomorphic(a: Lts, b: Lts) -> bool:
             sorted(t.label.text for t in b.transitions):
         return False
 
-    def refine(lts: Lts) -> dict[str, int]:
-        colors = {s: (s == lts.initial) for s in lts.states}
-        out: dict[str, list[Transition]] = {s: [] for s in lts.states}
+    def incoming(lts: Lts) -> dict[str, list[Transition]]:
         inc: dict[str, list[Transition]] = {s: [] for s in lts.states}
         for t in lts.transitions:
-            out[t.source].append(t)
             inc[t.target].append(t)
+        return inc
+
+    def refine(lts: Lts, inc: dict[str, list[Transition]]) -> dict[str, int]:
+        colors = {s: (s == lts.initial) for s in lts.states}
         for _ in range(len(lts.states)):
             sig = {
                 s: (colors[s],
-                    tuple(sorted((t.label.text, colors[t.target]) for t in out[s])),
+                    tuple(sorted((t.label.text, colors[t.target])
+                                 for t in lts.outgoing(s))),
                     tuple(sorted((t.label.text, colors[t.source]) for t in inc[s])))
                 for s in lts.states
             }
@@ -288,7 +301,8 @@ def isomorphic(a: Lts, b: Lts) -> bool:
             colors = new
         return colors
 
-    ca, cb = refine(a), refine(b)
+    a_in = incoming(a)
+    ca, cb = refine(a, a_in), refine(b, incoming(b))
     if sorted(ca.values()) != sorted(cb.values()):
         return False
 
@@ -297,11 +311,6 @@ def isomorphic(a: Lts, b: Lts) -> bool:
         by_color.setdefault(c, []).append(s)
     # smallest candidate sets first keeps the backtracking shallow
     order = sorted(a.states, key=lambda s: (len(by_color.get(ca[s], ())), s))
-    a_out: dict[str, list[Transition]] = {s: [] for s in a.states}
-    a_in: dict[str, list[Transition]] = {s: [] for s in a.states}
-    for t in a.transitions:
-        a_out[t.source].append(t)
-        a_in[t.target].append(t)
     b_trans = {(t.source, t.label, t.target) for t in b.transitions}
 
     mapping: dict[str, str] = {}
@@ -317,11 +326,11 @@ def isomorphic(a: Lts, b: Lts) -> bool:
             if (s == a.initial) != (cand == b.initial):
                 continue
             ok = all((cand, t.label, mapping[t.target]) in b_trans
-                     for t in a_out[s] if t.target in mapping)
+                     for t in a.outgoing(s) if t.target in mapping)
             ok = ok and all((mapping[t.source], t.label, cand) in b_trans
                             for t in a_in[s] if t.source in mapping)
             ok = ok and all((cand, t.label, cand) in b_trans
-                            for t in a_out[s] if t.target == s)
+                            for t in a.outgoing(s) if t.target == s)
             if not ok:
                 continue
             mapping[s] = cand

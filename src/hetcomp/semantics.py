@@ -132,10 +132,13 @@ def _channel_table(net: SystemNet) -> dict[str, ChannelMode]:
     return {c: net.mode_of(c) for c in sorted(shared_channels(net))}
 
 
+def _buffered(table: dict[str, ChannelMode]) -> list[str]:
+    return [c for c, mode in table.items() if mode.kind == "async"]
+
+
 def _initial(net: SystemNet, table: dict[str, ChannelMode]) -> GlobalState:
     locals_ = tuple((inst, proc.body.initial) for inst, proc in net.components)
-    buffers = tuple((c, ()) for c, mode in table.items() if mode.kind == "async")
-    return GlobalState(locals_, buffers)
+    return GlobalState(locals_, tuple((c, ()) for c in _buffered(table)))
 
 
 def initial_state(net: SystemNet) -> GlobalState:
@@ -144,20 +147,21 @@ def initial_state(net: SystemNet) -> GlobalState:
 
 def tracked_buffers(net: SystemNet) -> list[str]:
     """Shared async channels, the ones whose buffers are part of state."""
-    return [c for c, _ in initial_state(net).buffers]
+    return _buffered(_channel_table(net))
 
 
-def _check_consistent(net: SystemNet, g: GlobalState) -> None:
+def _check_consistent(net: SystemNet, table: dict[str, ChannelMode],
+                      g: GlobalState) -> None:
     if [inst for inst, _ in g.locals] != net.instance_names():
         raise SemanticsError("global state does not match the net's components")
     for inst, state in g.locals:
         if state not in net.get(inst).body.states:
             raise SemanticsError(
                 f"state {state!r} is not a state of component {inst}")
-    if [c for c, _ in g.buffers] != tracked_buffers(net):
+    if [c for c, _ in g.buffers] != _buffered(table):
         raise SemanticsError("global state tracks the wrong buffer set")
     for chan, toks in g.buffers:
-        cap = net.mode_of(chan).capacity
+        cap = table[chan].capacity
         if len(toks) > cap:
             raise SemanticsError(f"buffer of {chan} exceeds capacity {cap}")
 
@@ -215,8 +219,9 @@ def _successors(net: SystemNet, table: dict[str, ChannelMode],
 
 def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:
     """All global transitions permitted from g, in canonical order."""
-    _check_consistent(net, g)
-    return _successors(net, _channel_table(net), g)
+    table = _channel_table(net)
+    _check_consistent(net, table, g)
+    return _successors(net, table, g)
 
 
 class Search:
@@ -314,20 +319,11 @@ def traces_equal(a: SystemNet, b: SystemNet, k: int,
     """
     pa, pb = product(a, bound), product(b, bound)
 
-    def succ_map(lts: Lts) -> dict[str, dict[str, frozenset[str]]]:
-        m: dict[str, dict[str, set[str]]] = {s: {} for s in lts.states}
-        for t in lts.transitions:
-            m[t.source].setdefault(t.label.text, set()).add(t.target)
-        return {s: {l: frozenset(v) for l, v in by.items()}
-                for s, by in m.items()}
-
-    sa, sb = succ_map(pa), succ_map(pb)
-
-    def letters(states: frozenset[str], smap) -> dict[str, frozenset[str]]:
+    def letters(lts: Lts, states: frozenset[str]) -> dict[str, frozenset[str]]:
         merged: dict[str, set[str]] = {}
         for s in states:
-            for letter, targets in smap[s].items():
-                merged.setdefault(letter, set()).update(targets)
+            for t in lts.outgoing(s):
+                merged.setdefault(t.label.text, set()).add(t.target)
         return {l: frozenset(v) for l, v in merged.items()}
 
     start = (frozenset([pa.initial]), frozenset([pb.initial]))
@@ -336,8 +332,8 @@ def traces_equal(a: SystemNet, b: SystemNet, k: int,
     for _ in range(k):
         nxt = []
         for setA, setB in frontier:
-            la = letters(setA, sa)
-            lb = letters(setB, sb)
+            la = letters(pa, setA)
+            lb = letters(pb, setB)
             if set(la) != set(lb):
                 return False
             for letter in la:

@@ -198,3 +198,54 @@ def test_parse_is_deterministic(corpus_dir):
     for path in sorted(corpus_dir.glob("*.dot")):
         text = path.read_text()
         assert parse_dot(text) == parse_dot(text)
+
+
+def test_quoted_strings_unescape_only_quote_and_backslash():
+    doc = parse_dot_document(
+        r'digraph g { "" -> "a\"b"; "t\\" [label="x\y\\z\"w"] }')
+    (edge,) = doc.edges
+    assert (edge.source, edge.target) == ("", 'a"b')
+    (node,) = doc.nodes
+    assert node.name == "t\\"
+    assert node.attrs["label"] == 'x\\y\\z"w'
+
+
+@pytest.mark.parametrize("tail", ["# note", "// note", "/* a */ # b", "#"])
+def test_comment_at_end_of_input_without_newline(tail):
+    doc = parse_dot_document("digraph g { a -> b }" + tail)
+    assert [(e.source, e.target) for e in doc.edges] == [("a", "b")]
+
+
+def test_block_comments_between_tokens():
+    doc = parse_dot_document(
+        '/*h*/digraph/**/g/* x\n */{a/*1*/->/*2*/b/*3*/[/*4*/label/*5*/='
+        '/*6*/"c!"/*7*/]/*8*/;/*9*/}/**/')
+    (edge,) = doc.edges
+    assert (edge.source, edge.target, edge.attrs) == ("a", "b", {"label": "c!"})
+    assert (edge.line, edge.col) == (2, 5)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ('digraph g {\n  a -> "b\n}', "unterminated string", 2, 8),
+    ('digraph g {\n  a -> "b\\"\n}', "unterminated string", 2, 8),
+    ('digraph g {\n  a /* x\n}', "unterminated /* comment", 2, 5),
+    ('digraph g {\n  a -> b [label={\\red {x}\n]', "unterminated { group", 2, 17),
+    ("graph g { a -- b }", "expected 'digraph'", 1, 6),
+    ("\n\n  ", "expected 'digraph'", 3, 3),
+    ("digraph g {\n  a -> b", "unexpected end of input: missing '}'", 2, 9),
+])
+def test_scanner_errors_name_line_and_column(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_dot_document(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        (message, line, col)
+
+
+def test_error_position_at_the_end_of_a_large_document():
+    edges = "".join(f'  s{i} -> s{i + 1} [label="c!"];\n'
+                    for i in range(20_000))
+    text = "digraph g {\n" + edges + "  s0 -> [label=x]\n}"
+    with pytest.raises(ParseError) as exc:
+        parse_dot_document(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        ("expected an edge target", 20_002, 9)

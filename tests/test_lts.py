@@ -1,5 +1,7 @@
 """Core model tests: labels, the label grammar, Lts operations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hetcomp import (ChannelAction, Direction, HetcompError, Label, Lts,
                      ParseError, Transition, channels_of, filter_facet,
                      isomorphic, parse_label, rename_channel)
+from gen import random_lts
 
 channels = st.sampled_from(["a", "b", "c", "open", "close", "nc"])
 payloads = st.text(alphabet="abcxyz<>=+ \"\\:;.", max_size=8)
@@ -264,3 +267,27 @@ def test_sorted_transitions_are_canonical():
     triple = [(t.source, t.label.text, t.target)
               for t in lts.sorted_transitions()]
     assert triple == sorted(triple)
+
+
+def test_outgoing_matches_a_sorted_scan():
+    rng = random.Random(11)
+    dead_ends = 0
+    for _ in range(300):
+        lts = random_lts(rng, ["a", "b"], max_states=5, facets=True)
+        for s in sorted(lts.states) + ["not_a_state"]:
+            scan = sorted((t for t in lts.transitions if t.source == s),
+                          key=lambda t: (t.source, t.label.text, t.target))
+            assert list(lts.outgoing(s)) == scan
+            dead_ends += s in lts.states and not scan
+    assert dead_ends > 0
+
+
+def test_outgoing_leaves_equality_and_hash_alone():
+    rng = random.Random(12)
+    for _ in range(50):
+        lts = random_lts(rng, ["a", "b"], max_states=5, facets=True)
+        fresh = Lts(lts.states, lts.initial, lts.transitions)
+        lts.outgoing(lts.initial)
+        assert lts == fresh
+        assert hash(lts) == hash(fresh)
+        assert repr(lts) == repr(fresh)
