@@ -6,10 +6,12 @@ Two query forms are supported, mirroring the Uppaal-style notation:
     E<> inst.state and inst2.state2 ...
 
 Checking drives `semantics.Search`, the breadth-first engine behind
-`explore` and `product`, and stops at the first target or deadlocked
-state in discovery order, so witnesses are shortest paths with ties
-broken by the canonical enabled order.  A search that the state bound
-cut off without an answer yields "unknown", distinct from true and false.
+`explore` and `product`, on compiled states (a reachability target is
+a list of component index and local int pairs), and stops at the first
+target or deadlocked state in discovery order, so witnesses are
+shortest paths with ties broken by the canonical enabled order.  A
+search that the state bound cut off without an answer yields
+"unknown", distinct from true and false.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 from .algebra import SystemNet
 from .errors import AlgebraError, ParseError, QueryError
-from .semantics import (AsyncReceive, AsyncSend, GlobalState,
-                        GlobalTransition, Handshake, Local, Search)
+from .semantics import (AsyncReceive, AsyncSend, GlobalTransition, Handshake,
+                        Local, Search)
 from .semantics import enabled  # noqa: F401  wrapped by perfbench/spans.py
 
 
@@ -105,10 +107,6 @@ class Verdict:
         return self.outcome == "true"
 
 
-def _satisfies(g: GlobalState, q: Query) -> bool:
-    return all(g.local_of(inst) == state for inst, state in q.conjuncts)
-
-
 def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
     """BFS decision of q over the reachable global states of net."""
     if q.kind == "reach":
@@ -125,9 +123,13 @@ def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
 
     is_reach = q.kind == "reach"
     search = Search(net, bound)
-    for g, steps in search:
-        if _satisfies(g, q) if is_reach else not steps:
-            return Verdict("true" if is_reach else "false", search.path_to(g))
+    compiled, goal = search.compiled, []   # goal: (component, local int)
+    for inst, state in q.conjuncts:
+        i = compiled.position[inst]
+        goal.append((i, compiled.local(i, state)))
+    for s, steps in search:
+        if all(s[i] == l for i, l in goal) if is_reach else not steps:
+            return Verdict("true" if is_reach else "false", search.path_to(s))
     if search.truncated:
         return Verdict("unknown", None, search.bound)
     return Verdict("false" if is_reach else "true")

@@ -255,13 +255,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             text = emitters.emit_lotos(proc)
         else:
             text = emitters.emit_dot(proc)
+        if args.output:
+            _write_output(text, args.output, args.out_dir)
+        else:
+            sys.stdout.write(text)
     except (HetcompError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.output:
-        _write_output(text, args.output, args.out_dir)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

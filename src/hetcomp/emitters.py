@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import math
 import re
-from xml.sax.saxutils import escape
 
 from .algebra import Process, SystemNet, shared_channels
 from .errors import EmitError
 from .lts import Direction, Lts, channels_of
 
 _UPPAAL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data: &, > and < become entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _grid(states: list[str]) -> dict[str, tuple[int, int]]:
@@ -69,13 +73,13 @@ def emit_uppaal(net: SystemNet) -> str:
             ids[s] = f"id{next_id}"
             next_id += 1
         lines.append("  <template>")
-        lines.append(f'    <name x="0" y="0">{escape(inst)}</name>')
+        lines.append(f'    <name x="0" y="0">{_escape(inst)}</name>')
         for s in states:
             x, y = pos[s]
             lines.append(f'    <location id="{ids[s]}" x="{x}" y="{y}">')
             if _UPPAAL_ID_RE.match(s):
                 lines.append(f'      <name x="{x + 8}" y="{y - 24}">'
-                             f"{escape(s)}</name>")
+                             f"{_escape(s)}</name>")
             lines.append("    </location>")
         lines.append(f'    <init ref="{ids[proc.body.initial]}"/>')
         for t in proc.body.sorted_transitions():
@@ -87,9 +91,9 @@ def emit_uppaal(net: SystemNet) -> str:
             if comm.direction is not Direction.INTERNAL and comm.channel in shared:
                 lines.append(f'      <label kind="synchronisation" '
                              f'x="{x + 8}" y="{y + 8}">'
-                             f"{escape(comm.text)}</label>")
+                             f"{_escape(comm.text)}</label>")
             lines.append(f'      <label kind="comments" x="{x + 8}" '
-                         f'y="{y + 32}">{escape(t.label.text)}</label>')
+                         f'y="{y + 32}">{_escape(t.label.text)}</label>')
             lines.append("    </transition>")
         lines.append("  </template>")
 

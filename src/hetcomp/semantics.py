@@ -18,15 +18,39 @@ component interfaces.  Buffers are tracked for shared asynchronous
 channels only.
 
 One breadth-first engine, `Search`, serves `explore`, `product`,
-`traces` and `checker.check`.  It builds the channel table once per
-search and expands the states it built without re-validating them; the
-public `enabled` validates its state, then calls the same successor step.
+`traces` and `checker.check`.  It runs on a compiled form of the net,
+`_Compiled`, built once per search in the manner of a partitioned
+next-state function:
+
+* every step kind the net can take (`Local`, `AsyncSend`,
+  `AsyncReceive`, and `Handshake` per channel, sender and receiver)
+  gets an integer rank by sorting all of them once with
+  `_kind_sort_key`;
+* each component's local states are interned as ints, and its moves
+  from a local state are compiled on first use into local steps,
+  asynchronous sends and receives (with their buffer slot and
+  capacity) and synchronous sends (with the components that could
+  receive them), each with its target int and rank;
+* a compiled global state is a flat tuple: one local int per
+  component, then one buffer per shared asynchronous channel (in
+  channel order) holding the senders' component indices, oldest first.
+
+A step is a (rank, target) pair, and the enabled steps of a state sort
+by rank.  Steps of equal kind (nondeterminism) are ordered by their
+decoded targets' `text`, computed for such tied groups only, so the
+order is exactly `step_sort_key`'s.  `GlobalState` and
+`GlobalTransition` values are decoded only where the public contract
+needs them: `explore`, witnesses (`Search.path_to`), the public
+`enabled` (which validates its state first) and the state names and
+labels of `product`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .algebra import ChannelMode, SystemNet, shared_channels
@@ -101,16 +125,19 @@ class GlobalTransition:
     @property
     def label(self) -> Label:
         """The product-level label this step carries."""
-        k = self.kind
-        if isinstance(k, Handshake):
-            return Label.internal(f"{k.channel}#{k.sender}>{k.receiver}")
-        if isinstance(k, AsyncSend):
-            return Label.internal(f"{k.channel}!@{k.instance}")
-        if isinstance(k, AsyncReceive):
-            return Label.internal(f"{k.channel}?@{k.instance}")
-        if self.local_label is not None:
-            return self.local_label
-        return parse_label(k.action)
+        return _label_of(self.kind, self.local_label)
+
+
+def _label_of(kind: Kind, local_label: Label | None) -> Label:
+    if isinstance(kind, Handshake):
+        return Label.internal(f"{kind.channel}#{kind.sender}>{kind.receiver}")
+    if isinstance(kind, AsyncSend):
+        return Label.internal(f"{kind.channel}!@{kind.instance}")
+    if isinstance(kind, AsyncReceive):
+        return Label.internal(f"{kind.channel}?@{kind.instance}")
+    if local_label is not None:
+        return local_label
+    return parse_label(kind.action)
 
 
 def _kind_sort_key(kind: Kind) -> tuple:
@@ -136,13 +163,9 @@ def _buffered(table: dict[str, ChannelMode]) -> list[str]:
     return [c for c, mode in table.items() if mode.kind == "async"]
 
 
-def _initial(net: SystemNet, table: dict[str, ChannelMode]) -> GlobalState:
-    locals_ = tuple((inst, proc.body.initial) for inst, proc in net.components)
-    return GlobalState(locals_, tuple((c, ()) for c in _buffered(table)))
-
-
 def initial_state(net: SystemNet) -> GlobalState:
-    return _initial(net, _channel_table(net))
+    locals_ = tuple((inst, proc.body.initial) for inst, proc in net.components)
+    return GlobalState(locals_, tuple((c, ()) for c in tracked_buffers(net)))
 
 
 def tracked_buffers(net: SystemNet) -> list[str]:
@@ -164,106 +187,264 @@ def _check_consistent(net: SystemNet, table: dict[str, ChannelMode],
         cap = table[chan].capacity
         if len(toks) > cap:
             raise SemanticsError(f"buffer of {chan} exceeds capacity {cap}")
+        for tok in toks:
+            if not net.has(tok):
+                raise SemanticsError(
+                    f"buffer of {chan} holds {tok!r}, which is no component")
 
 
-def _put(pairs: tuple, i: int, value) -> tuple:
-    """pairs with the value of its i-th (key, value) pair replaced."""
-    return pairs[:i] + ((pairs[i][0], value),) + pairs[i + 1:]
+class _Compiled:
+    """The net with ranked step kinds and per-local-state move tables.
 
+    `successors` is the next-state function on compiled states; `decode`
+    and `transition` turn compiled values back into public ones.  Local
+    states are interned, and their moves compiled, on first use, so a
+    search that visits few local states pays for little more than
+    ranking the step kinds.
+    """
 
-def _successors(net: SystemNet, table: dict[str, ChannelMode],
-                g: GlobalState) -> list[GlobalTransition]:
-    """`enabled` for a state known to belong to net; table is its channels."""
-    locals_, buffers = g.locals, g.buffers
-    slot = {chan: j for j, (chan, _) in enumerate(buffers)}
-    out: list[GlobalTransition] = []
-    receivers: dict[str, list[tuple[int, Transition]]] = {}
-    senders: dict[str, list[tuple[int, Transition]]] = {}
+    def __init__(self, net: SystemNet):
+        self.table = table = _channel_table(net)
+        self.names = names = net.instance_names()
+        self.position = {inst: i for i, inst in enumerate(names)}
+        self.buffered = _buffered(table)
+        self.slot = {c: len(names) + j for j, c in enumerate(self.buffered)}
+        bodies = [proc.body for _, proc in net.components]
+        self.states: list[list[str]] = [[] for _ in names]   # by local int
+        self.index: list[dict[str, int]] = [{} for _ in names]
 
-    for i, (inst, proc) in enumerate(net.components):
-        for t in proc.body.outgoing(locals_[i][1]):
-            comm = t.label.comm
-            mode = table.get(comm.channel)
-            if comm.direction is Direction.INTERNAL or mode is None:
-                out.append(GlobalTransition(
-                    g, Local(inst, t.label.text),
-                    GlobalState(_put(locals_, i, t.target), buffers), t.label))
-            elif mode.kind == "sync":
-                side = senders if comm.direction is Direction.SEND else receivers
-                side.setdefault(comm.channel, []).append((i, t))
+        # every step kind the net can take, with its label if it is
+        # local, and each component's moves by source state as (kind,
+        # None, target) for local and async moves and (None, channel
+        # action, target) for sync ones
+        kinds: dict[Kind, Label | None] = {}
+        senders: dict[str, set[int]] = {}
+        receivers: dict[str, set[int]] = {}
+        self.outgoing: list[dict[str, list[tuple]]] = []
+        for i, (inst, body) in enumerate(zip(names, bodies)):
+            outgoing: dict[str, list[tuple]] = {}
+            for t in body.transitions:
+                comm = t.label.comm
+                mode = table.get(comm.channel)
+                if comm.direction is Direction.INTERNAL or mode is None:
+                    kind = Local(inst, t.label.text)
+                    kinds[kind] = t.label
+                    move = (kind, None, t.target)
+                elif mode.kind == "async":
+                    kind = (AsyncSend(comm.channel, inst)
+                            if comm.direction is Direction.SEND
+                            else AsyncReceive(comm.channel, inst))
+                    kinds[kind] = None
+                    move = (kind, None, t.target)
+                else:
+                    side = senders if comm.direction is Direction.SEND else receivers
+                    side.setdefault(comm.channel, set()).add(i)
+                    move = (None, comm, t.target)
+                outgoing.setdefault(t.source, []).append(move)
+            self.outgoing.append(outgoing)
+        handshakes = {(chan, i, j): Handshake(chan, names[i], names[j])
+                      for chan, sending in senders.items() for i in sending
+                      for j in receivers.get(chan, ()) if j != i}
+        kinds.update(dict.fromkeys(handshakes.values()))
+        self.kinds: list[Kind] = sorted(kinds, key=_kind_sort_key)
+        self.rank = {kind: r for r, kind in enumerate(self.kinds)}
+        self.local_labels = [kinds[kind] for kind in self.kinds]
+        # (channel, sender) -> ((receiver, rank), ...)
+        partners: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        for (chan, i, j), kind in handshakes.items():
+            partners.setdefault((chan, i), []).append((j, self.rank[kind]))
+        self.partners = {key: tuple(js) for key, js in partners.items()}
+
+        self.moves = [_Moves(self, i) for i in range(len(names))]
+        self.initial = tuple(self.local(i, body.initial)
+                             for i, body in enumerate(bodies)
+                             ) + ((),) * len(self.buffered)
+
+    def local(self, i: int, state: str) -> int:
+        """The local int of component i's state, interning it if new."""
+        index = self.index[i]
+        l = index.get(state)
+        if l is None:
+            l = index[state] = len(self.states[i])
+            self.states[i].append(state)
+        return l
+
+    def compile_moves(self, i: int, l: int) -> tuple:
+        """Component i's moves from local l: (steps, receives).
+
+        steps holds local steps (rank, target), async steps (rank,
+        target, slot, capacity or 0 for a receive) and sync sends
+        (channel, target, ((receiver, rank), ...)), or is None if there
+        are none; receives maps each channel to its sync receive targets.
+        Moves are deduplicated, so two steps of one state are never equal.
+        """
+        rank, table, slot, partners = self.rank, self.table, self.slot, self.partners
+        locs: dict[tuple, None] = {}
+        asyncs: dict[tuple, None] = {}
+        sends: dict[tuple, None] = {}
+        receives: dict[str, dict[int, None]] = {}
+        for kind, comm, target in self.outgoing[i].get(self.states[i][l], ()):
+            target = self.local(i, target)
+            if kind is None:
+                if comm.direction is Direction.RECEIVE:
+                    receives.setdefault(comm.channel, {})[target] = None
+                elif (comm.channel, i) in partners:
+                    sends[comm.channel, target,
+                          partners[comm.channel, i]] = None
+            elif isinstance(kind, Local):
+                locs[rank[kind], target] = None
             else:
-                j = slot[comm.channel]
-                toks = buffers[j][1]
-                if comm.direction is Direction.SEND and len(toks) < mode.capacity:
-                    out.append(GlobalTransition(
-                        g, AsyncSend(comm.channel, inst),
-                        GlobalState(_put(locals_, i, t.target),
-                                    _put(buffers, j, toks + (inst,)))))
-                elif comm.direction is Direction.RECEIVE and toks:
-                    out.append(GlobalTransition(
-                        g, AsyncReceive(comm.channel, inst),
-                        GlobalState(_put(locals_, i, t.target),
-                                    _put(buffers, j, toks[1:]))))
+                asyncs[rank[kind], target, slot[kind.channel],
+                       table[kind.channel].capacity
+                       if isinstance(kind, AsyncSend) else 0] = None
+        return (((tuple(locs), tuple(asyncs), tuple(sends))
+                 if locs or asyncs or sends else None),
+                {chan: tuple(targets) for chan, targets in receives.items()})
 
-    for chan, sends in senders.items():
-        for si, s_t in sends:
-            for ri, r_t in receivers.get(chan, ()):
-                if ri != si:
-                    moved = _put(_put(locals_, si, s_t.target), ri, r_t.target)
-                    out.append(GlobalTransition(
-                        g, Handshake(chan, locals_[si][0], locals_[ri][0]),
-                        GlobalState(moved, buffers)))
+    def successors(self, s: tuple) -> list[tuple[int, tuple]]:
+        """The enabled steps of s as (rank, target) in canonical order."""
+        out = []
+        moves = self.moves
+        for i, (steps, _) in enumerate(map(dict.__getitem__, moves, s)):
+            if steps is None:
+                continue
+            locs, asyncs, sends = steps
+            for rank, target in locs:
+                out.append((rank, s[:i] + (target,) + s[i + 1:]))
+            for rank, target, at, cap in asyncs:
+                buf = s[at]
+                if cap:
+                    if len(buf) < cap:
+                        t = list(s)
+                        t[i], t[at] = target, buf + (i,)
+                        out.append((rank, tuple(t)))
+                elif buf:
+                    t = list(s)
+                    t[i], t[at] = target, buf[1:]
+                    out.append((rank, tuple(t)))
+            for chan, target, partners in sends:
+                for j, rank in partners:
+                    for other in moves[j][s[j]][1].get(chan, ()):
+                        t = list(s)
+                        t[i], t[j] = target, other
+                        out.append((rank, tuple(t)))
+        if len(dict(out)) == len(out):
+            out.sort()
+            return out
+        return self._untie(out)
 
-    return sorted(set(out), key=step_sort_key)
+    def _untie(self, out: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+        """Sort steps by rank, and steps of equal rank by target text."""
+        out.sort(key=_rank)
+        tied = []
+        for rank, group in groupby(out, _rank):
+            targets = [t for _, t in group]
+            if len(targets) > 1:
+                targets.sort(key=self.text)
+            tied.extend((rank, t) for t in targets)
+        return tied
+
+    def decode(self, s: tuple) -> GlobalState:
+        names, n = self.names, len(self.names)
+        return GlobalState(
+            tuple(zip(names, map(list.__getitem__, self.states, s))),
+            tuple((chan, tuple(names[k] for k in s[n + j]))
+                  for j, chan in enumerate(self.buffered)))
+
+    def encode(self, g: GlobalState) -> tuple:
+        """The compiled form of g, a state consistent with the net."""
+        return tuple(self.local(i, state) for i, (_, state)
+                     in enumerate(g.locals)) + tuple(
+            tuple(self.position[tok] for tok in toks) for _, toks in g.buffers)
+
+    def text(self, s: tuple) -> str:
+        return self.decode(s).text
+
+    def transition(self, s: tuple, rank: int, t: tuple) -> GlobalTransition:
+        return GlobalTransition(self.decode(s), self.kinds[rank],
+                                self.decode(t), self.local_labels[rank])
+
+
+_rank = itemgetter(0)
+
+
+class _Moves(dict):
+    """One component's compiled moves by local int, compiled on first use."""
+
+    __slots__ = ("compiled", "i")
+
+    def __init__(self, compiled: _Compiled, i: int):
+        self.compiled, self.i = compiled, i
+
+    def __missing__(self, l: int) -> tuple:
+        moves = self[l] = self.compiled.compile_moves(self.i, l)
+        return moves
 
 
 def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:
     """All global transitions permitted from g, in canonical order."""
-    table = _channel_table(net)
-    _check_consistent(net, table, g)
-    return _successors(net, table, g)
+    compiled = _Compiled(net)
+    _check_consistent(net, compiled.table, g)
+    s = compiled.encode(g)
+    return [GlobalTransition(g, compiled.kinds[rank], compiled.decode(t),
+                             compiled.local_labels[rank])
+            for rank, t in compiled.successors(s)]
 
 
 class Search:
     """One breadth-first search over the reachable global states of net.
 
-    Iterated once, it yields each state with its canonical enabled steps
-    in discovery order, after discovering their targets.  At most `bound`
-    states are discovered; `truncated` records that one was cut off.
-    `parent` maps each discovered state to the step that first reached it.
+    Iterated once, it yields each compiled state with its enabled steps,
+    (rank, target) pairs in canonical order, in discovery order and
+    after discovering their targets.  At most `bound` states are
+    discovered; `truncated` records that one was cut off.  `parent` maps
+    each discovered state to the state it was first reached from.
+    `compiled` decodes states and steps.
     """
 
     def __init__(self, net: SystemNet, bound: int | None = None):
-        self.net = net
+        self.compiled = _Compiled(net)
         self.bound = DEFAULT_STATE_BOUND if bound is None else bound
-        self.table = _channel_table(net)
-        self.parent: dict[GlobalState, GlobalTransition | None] = {
-            _initial(net, self.table): None}
+        self.parent: dict[tuple, tuple | None] = {self.compiled.initial: None}
         self.truncated = False
 
-    def __iter__(self) -> Iterator[tuple[GlobalState, list[GlobalTransition]]]:
-        net, table, parent, bound = self.net, self.table, self.parent, self.bound
+    def __iter__(self) -> Iterator[tuple[tuple, list[tuple[int, tuple]]]]:
+        successors, parent, bound = (self.compiled.successors, self.parent,
+                                     self.bound)
         queue = deque(parent)
         while queue:
-            g = queue.popleft()
-            steps = _successors(net, table, g)
-            for t in steps:
-                if t.target not in parent:
+            s = queue.popleft()
+            steps = successors(s)
+            for _, t in steps:
+                if t not in parent:
                     if len(parent) < bound:
-                        parent[t.target] = t
-                        queue.append(t.target)
+                        parent[t] = s
+                        queue.append(t)
                     else:
                         self.truncated = True
-            yield g, steps
+            yield s, steps
 
-    def path_to(self, g: GlobalState) -> tuple[GlobalTransition, ...]:
-        """The shortest path from the initial state to discovered g."""
-        path: list[GlobalTransition] = []
-        step = self.parent[g]
-        while step is not None:
-            path.append(step)
-            step = self.parent[step.source]
+    def path_to(self, s: tuple) -> tuple[GlobalTransition, ...]:
+        """The shortest path from the initial state to discovered s.
+
+        Each step is the first one in canonical order from its source to
+        its target, the one that discovered the target.
+        """
+        compiled, path = self.compiled, []
+        source = self.parent[s]
+        while source is not None:
+            rank = next(r for r, t in compiled.successors(source) if t == s)
+            path.append(compiled.transition(source, rank, s))
+            s, source = source, self.parent[source]
         return tuple(reversed(path))
+
+
+def _complete(search: Search) -> Iterator[tuple[tuple, list[tuple[int, tuple]]]]:
+    """search's states and steps; StateBoundExceeded once it is cut off."""
+    for done, item in enumerate(search, 1):
+        if search.truncated:
+            raise StateBoundExceeded(search.bound, len(search.parent) - done)
+        yield item
 
 
 def explore(net: SystemNet, bound: int | None = None
@@ -275,23 +456,28 @@ def explore(net: SystemNet, bound: int | None = None
     reachable.
     """
     search = Search(net, bound)
-    steps: dict[GlobalState, list[GlobalTransition]] = {}
-    for g, here in search:
-        steps[g] = here
-        if search.truncated:
-            raise StateBoundExceeded(search.bound,
-                                     len(search.parent) - len(steps))
-    return list(search.parent), steps
+    expanded = list(_complete(search))
+    compiled = search.compiled
+    kinds, local_labels = compiled.kinds, compiled.local_labels
+    state = {s: compiled.decode(s) for s in search.parent}
+    steps = {state[s]: [GlobalTransition(state[s], kinds[rank], state[t],
+                                         local_labels[rank])
+                        for rank, t in here]
+             for s, here in expanded}
+    return list(state.values()), steps
 
 
 def product(net: SystemNet, bound: int | None = None) -> Lts:
     """The reachable global LTS, with canonical state names and labels."""
-    states, steps = explore(net, bound)
-    transitions = [
-        Transition(g.text, t.label, t.target.text)
-        for g in states for t in steps[g]
-    ]
-    return Lts([g.text for g in states], states[0].text, transitions)
+    search = Search(net, bound)
+    expanded = list(_complete(search))
+    compiled = search.compiled
+    name = {s: compiled.text(s) for s in search.parent}
+    labels = [_label_of(kind, local_label) for kind, local_label
+              in zip(compiled.kinds, compiled.local_labels)]
+    transitions = [Transition(name[s], labels[rank], name[t])
+                   for s, here in expanded for rank, t in here]
+    return Lts(name.values(), name[compiled.initial], transitions)
 
 
 def traces(net: SystemNet, k: int, bound: int | None = None

@@ -43,15 +43,15 @@ def random_lts(rng: random.Random, channels, max_states: int = 4,
 
 
 def random_process(rng: random.Random, name: str, channels,
-                   max_states: int = 4) -> Process:
-    return Process(name, random_lts(rng, channels, max_states))
+                   max_states: int = 4, facets: bool = False) -> Process:
+    return Process(name, random_lts(rng, channels, max_states, facets))
 
 
 def random_net(rng: random.Random, sync_only: bool = False,
-               max_components: int = 3) -> SystemNet:
+               max_components: int = 3, facets: bool = False) -> SystemNet:
     channels = ["a", "b"][:rng.randint(1, 2)]
     k = rng.randint(2, max_components)
-    net = compose(*(random_process(rng, f"P{i + 1}", channels)
+    net = compose(*(random_process(rng, f"P{i + 1}", channels, facets=facets)
                     for i in range(k)))
     if sync_only:
         return net
@@ -67,3 +67,30 @@ def random_conjuncts(rng: random.Random, net: SystemNet):
     picked = rng.sample(instances, rng.randint(1, len(instances)))
     return tuple((inst, rng.choice(sorted(net.get(inst).body.states)))
                  for inst in sorted(picked))
+
+
+def philo_net(n: int) -> SystemNet:
+    """Dining philosophers: n philosophers P<i> and n forks F<i>, sync only.
+
+    P<i> cycles t -gl<i>!-> l -gr<i>!-> e -pl<i>!-> r -pr<i>!-> t (take
+    the left fork, the right one, put the left, put the right).  Fork
+    F<i> is P<i>'s left fork and P<i-1>'s right one.  Every assignment of
+    each fork to free, left or right neighbour is reachable except the
+    one where every philosopher holds only its right fork: 3^n - 1
+    states and n(2*3^(n-1) - 1) transitions.  The one deadlock, every
+    philosopher holding its left fork, is n steps deep.
+    """
+    procs = []
+    for i in range(n):
+        h = (i - 1) % n
+        procs.append(Process(f"P{i}", Lts("tler", "t", [
+            Transition("t", Label.send(f"gl{i}"), "l"),
+            Transition("l", Label.send(f"gr{i}"), "e"),
+            Transition("e", Label.send(f"pl{i}"), "r"),
+            Transition("r", Label.send(f"pr{i}"), "t")])))
+        procs.append(Process(f"F{i}", Lts(["free", "L", "R"], "free", [
+            Transition("free", Label.receive(f"gl{i}"), "L"),
+            Transition("L", Label.receive(f"pl{i}"), "free"),
+            Transition("free", Label.receive(f"gr{h}"), "R"),
+            Transition("R", Label.receive(f"pr{h}"), "free")])))
+    return compose(*procs)

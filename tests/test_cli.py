@@ -267,6 +267,14 @@ def test_convert_errors(tmp_path, corpus_dir):
     assert r.returncode == 2
 
 
+def test_convert_to_a_directory_exits_two_and_names_it(tmp_path, corpus_dir):
+    r = run_cli("convert", str(corpus_dir / "rpt1.dot"), "--to", "dot",
+                "-o", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and str(tmp_path) in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---- determinism ----
 
 def test_runs_are_deterministic_across_hash_seeds(tmp_path, corpus_dir):

@@ -7,6 +7,8 @@ UPDATE_GOLDEN=1 pytest tests/test_emitters.py and review the diff.
 import os
 import random
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -159,6 +161,27 @@ def test_uppaal_facets_travel_in_comments():
     comments = {l.text for l in root.iter("label")
                 if l.get("kind") == "comments"}
     assert "c!|guard:x>0|time:t<5" in comments
+
+
+def test_uppaal_escapes_markup_in_label_text():
+    p = Process("A", parse_dot(
+        'digraph g { u -> v [label="c!|guard:a<b&&c>d|data:&amp;"] }'))
+    b = Process("B", parse_dot('digraph g { w -> x [label="c?"] }'))
+    text = emit_uppaal(compose(p, b))
+    assert ('<label kind="comments" x="8" y="32">'
+            "c!|guard:a&lt;b&amp;&amp;c&gt;d|data:&amp;amp;</label>\n") in text
+
+
+def test_import_leaves_out_xml_and_network_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email,
+    # which more than doubled the import time of the package
+    code = ("import sys, hetcomp; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request') "
+            "if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 # ---- DOT ----

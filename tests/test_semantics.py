@@ -152,6 +152,9 @@ def test_enabled_rejects_foreign_states():
     other = compose(proc("A", ("z", "c!", "z")), proc("B", ("w", "c?", "x")))
     with pytest.raises(SemanticsError):
         enabled(net, initial_state(other))
+    pair = _async_pair()
+    with pytest.raises(SemanticsError, match="'Z', which is no component"):
+        enabled(pair, GlobalState(initial_state(pair).locals, (("c", ("Z",)),)))
 
 
 def test_local_label_keeps_facets_verbatim():
@@ -169,6 +172,47 @@ def test_enabled_is_canonically_sorted():
         for g, steps in explore(net, bound=200)[1].items():
             assert steps == sorted(steps, key=step_sort_key)
             assert len(set(steps)) == len(steps)
+
+
+# ---- canonical tie-breaks: equal kinds order by target text ----
+# "+" sorts below both "," and ";", so "a+" targets come before "a" ones
+# although "a" < "a+" as names.
+
+def test_nondeterministic_local_steps_order_by_target_text():
+    net = compose(proc("A", ("u", "step", "a"), ("u", "step", "a+")),
+                  proc("B", ("w", "tick", "w")))
+    steps = enabled(net, initial_state(net))
+    assert [(s.kind, s.target.text) for s in steps] == [
+        (Local("A", "step"), "A:a+,B:w"), (Local("A", "step"), "A:a,B:w"),
+        (Local("B", "tick"), "A:u,B:w")]
+
+
+def test_nondeterministic_handshake_orders_by_target_text():
+    net = compose(proc("A", ("u", "c!", "a"), ("u", "c!", "a+")),
+                  proc("B", ("w", "c?", "b"), ("w", "c?", "b+")),
+                  proc("C", ("z", "c?", "z")))
+    steps = enabled(net, initial_state(net))
+    assert [(s.kind, s.target.text) for s in steps] == [
+        (Handshake("c", "A", "B"), "A:a+,B:b+,C:z"),
+        (Handshake("c", "A", "B"), "A:a+,B:b,C:z"),
+        (Handshake("c", "A", "B"), "A:a,B:b+,C:z"),
+        (Handshake("c", "A", "B"), "A:a,B:b,C:z"),
+        (Handshake("c", "A", "C"), "A:a+,B:w,C:z"),
+        (Handshake("c", "A", "C"), "A:a,B:w,C:z")]
+
+
+def test_nondeterministic_async_steps_order_by_target_text():
+    net = with_channel_modes(
+        compose(proc("A", ("u", "c!", "a"), ("u", "c!|guard:g", "a+")),
+                proc("B", ("w", "c?", "b"), ("w", "c?", "b+"))),
+        {"c": async_mode(2)})
+    g = GlobalState((("A", "u"), ("B", "w")), (("c", ("A",)),))
+    steps = enabled(net, g)
+    assert [(s.kind, s.target.text) for s in steps] == [
+        (AsyncReceive("c", "B"), "A:u,B:b+;c="),
+        (AsyncReceive("c", "B"), "A:u,B:b;c="),
+        (AsyncSend("c", "A"), "A:a+,B:w;c=A.A"),
+        (AsyncSend("c", "A"), "A:a,B:w;c=A.A")]
 
 
 # ---- explore and bounds ----
