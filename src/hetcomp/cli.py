@@ -10,11 +10,16 @@ Exit codes: 0 when every executed check holds, 1 when some check is
 false, 3 when none is false but some is unknown (state bound hit), and
 2 on any error.  The state bound, a positive integer, can be set
 through the HETCOMP_BOUND environment variable; --bound overrides it.
+
+`main()` may be called many times in one process, as a library entry
+point: the argument parser is built on the first call and reused, and
+every call reads HETCOMP_BOUND afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -295,7 +300,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    dest="fmt", help="verdict output format")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="hetcomp",
         description="Compose heterogeneous behavioural models over a "
@@ -319,8 +326,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="output file (default: stdout)")
     conv_p.add_argument("--out-dir", default=None,
                         help="directory prefix for the output file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "convert":
         return _cmd_convert(args)

@@ -13,7 +13,13 @@ the source of the first edge statement otherwise.
 
 The scanner matches compiled patterns at a cursor and turns offsets
 into line:col by bisecting a table of newline offsets built once, so
-parsing stays linear in the size of the text.
+parsing stays linear in the size of the text.  Whitespace and comments
+are skipped once per token: the cursor always rests after them, right
+after the scanner is made and after every token it consumes, so looking
+at the next token never skips again.  An unterminated ``/*`` stops the
+cursor in front of it, where no symbol, name or value matches, so the
+parser fails at that offset; an error raised at the cursor there names
+the unterminated comment.
 """
 
 from __future__ import annotations
@@ -63,13 +69,18 @@ class DotDocument:
 
 
 class _Scanner:
-    """A cursor over the text; tokens are patterns matched at the cursor."""
+    """A cursor over the text; tokens are patterns matched at the cursor.
+
+    The cursor always rests after whitespace and comments; ``end`` is
+    the offset just past the last token consumed.
+    """
 
     def __init__(self, text: str, source: str):
         self.text = text
         self.source = source
-        self.pos = 0
         self.newlines = [m.start() for m in re.finditer("\n", text)]
+        self.end = 0
+        self.skip(0)
 
     def line_col(self, pos: int | None = None) -> tuple[int, int]:
         p = self.pos if pos is None else pos
@@ -77,22 +88,22 @@ class _Scanner:
         return i + 1, p - (self.newlines[i - 1] if i else -1)
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
+        if pos is None and self.text.startswith("/*", self.pos):
+            message = "unterminated /* comment"
         line, col = self.line_col(pos)
         return ParseError(message, line=line, col=col, source=self.source)
 
-    def skip(self) -> None:
-        self.pos = _SKIP_RE.match(self.text, self.pos).end()
-        if self.text.startswith("/*", self.pos):
-            raise self.error("unterminated /* comment")
+    def skip(self, pos: int) -> None:
+        """Consume the text up to pos, then whitespace and comments."""
+        self.end = pos
+        self.pos = _SKIP_RE.match(self.text, pos).end()
 
     def at_end(self) -> bool:
-        self.skip()
         return self.pos >= len(self.text)
 
     def try_symbol(self, sym: str) -> bool:
-        self.skip()
         if self.text.startswith(sym, self.pos):
-            self.pos += len(sym)
+            self.skip(self.pos + len(sym))
             return True
         return False
 
@@ -101,7 +112,6 @@ class _Scanner:
             raise self.error(f"expected {sym!r}")
 
     def peek_symbol(self, sym: str) -> bool:
-        self.skip()
         return self.text.startswith(sym, self.pos)
 
     def _token(self, pattern: re.Pattern[str], what: str) -> str:
@@ -111,35 +121,33 @@ class _Scanner:
             if self.text.startswith('"', self.pos):
                 raise self.error("unterminated string")
             raise self.error(f"expected {what}")
-        self.pos = m.end()
+        self.skip(m.end())
         quoted = m.group(1)
         return m.group() if quoted is None else _UNESCAPE_RE.sub(r"\1", quoted)
 
     def name(self, what: str) -> str:
-        self.skip()
         return self._token(_NAME_RE, what)
 
     def value(self) -> str:
         """An attribute value: bare token, quoted string, or {...} group."""
-        self.skip()
         if self.text.startswith("{", self.pos):
             return self._scan_braces()
         return self._token(_VALUE_RE, "an attribute value")
 
     def _scan_braces(self) -> str:
-        start = self.pos
+        start = pos = self.pos
         depth = 0
         t, n = self.text, len(self.text)
-        while self.pos < n:
-            c = t[self.pos]
+        while pos < n:
+            c = t[pos]
             if c == "{":
                 depth += 1
             elif c == "}":
                 depth -= 1
                 if depth == 0:
-                    self.pos += 1
-                    return t[start:self.pos]
-            self.pos += 1
+                    self.skip(pos + 1)
+                    return t[start:pos + 1]
+            pos += 1
         raise self.error("unterminated { group", start)
 
 
@@ -158,7 +166,7 @@ def _parse_attr_list(sc: _Scanner) -> dict[str, str]:
 def parse_dot_document(text: str, source: str = "<dot>") -> DotDocument:
     sc = _Scanner(text, source)
     if sc.name("'digraph'") != "digraph":
-        raise sc.error("expected 'digraph'")
+        raise sc.error("expected 'digraph'", sc.end)
     if sc.peek_symbol("{"):
         graph_name = ""
     else:
@@ -196,7 +204,7 @@ _MARKUP_RE = re.compile(r"\{\\[A-Za-z]+\s+([^{}]*)\}")
 def strip_markup(raw: str) -> str:
     """Remove colour/markup wrappers and one layer of literal quotes."""
     s = raw
-    while True:
+    while "{" in s:
         t = _MARKUP_RE.sub(r"\1", s)
         if t == s:
             break

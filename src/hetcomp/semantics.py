@@ -47,7 +47,7 @@ labels of `product`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -468,11 +468,18 @@ def explore(net: SystemNet, bound: int | None = None
 
 
 def product(net: SystemNet, bound: int | None = None) -> Lts:
-    """The reachable global LTS, with canonical state names and labels."""
+    """The reachable global LTS, with canonical state names and labels.
+
+    Raises SemanticsError when two reachable states get the same name,
+    which local state names containing ``,`` or ``:`` can bring about.
+    """
     search = Search(net, bound)
     expanded = list(_complete(search))
     compiled = search.compiled
     name = {s: compiled.text(s) for s in search.parent}
+    if len(set(name.values())) < len(name):
+        shared = next(t for t, n in Counter(name.values()).items() if n > 1)
+        raise SemanticsError(f"two reachable states are both named {shared!r}")
     labels = [_label_of(kind, local_label) for kind, local_label
               in zip(compiled.kinds, compiled.local_labels)]
     transitions = [Transition(name[s], labels[rank], name[t])

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests, driven through subprocesses."""
+"""End-to-end CLI tests, driven through subprocesses, and repeated
+in-process `main()` calls, which must not affect one another."""
 
 import json
 import os
@@ -7,6 +8,8 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+
+from hetcomp.cli import main
 
 CLI = [sys.executable, "-m", "hetcomp.cli"]
 
@@ -288,3 +291,55 @@ def test_runs_are_deterministic_across_hash_seeds(tmp_path, corpus_dir):
         body = {p.name: p.read_text() for p in (d / "out").iterdir()}
         outs.append((r.stdout.replace(str(d), "<out>"), body))
     assert outs[0] == outs[1]
+
+
+# ---- repeated calls in one process ----
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, corpus_dir,
+                                                   capsys):
+    script = str(corpus_dir / "case_study.hcs")
+    calls = [
+        ["convert", str(corpus_dir / "dataCollector.dot"), "--to", "lotos",
+         "-o", str(tmp_path / "dc.lotos")],
+        ["check", script],
+        ["run", script, "--format", "json", "--out-dir", str(tmp_path)],
+    ]
+    fresh = [run_cli(*argv) for argv in calls]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process == [(r.returncode, r.stdout) for r in fresh]
+
+
+def test_env_bound_is_read_on_every_call(tmp_path, monkeypatch, capsys):
+    write(tmp_path, "ring.dot",
+          'digraph r { s0 -> s1 [label="go"]; s1 -> s0 [label="go"]; }\n')
+    script = str(write(tmp_path, "s.hcs",
+                       'r = dot("ring.dot")\ncheck(r, "A[] not deadlock")\n'))
+    monkeypatch.delenv("HETCOMP_BOUND", raising=False)
+    assert main(["run", script]) == 0
+    monkeypatch.setenv("HETCOMP_BOUND", "1")
+    assert main(["run", script]) == 3
+    monkeypatch.delenv("HETCOMP_BOUND")
+    assert main(["run", script]) == 0
+
+
+def test_bad_bound_exits_two_on_every_call(rendezvous, capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(["run", str(rendezvous), "--bound", "0"])
+        assert e.value.code == 2
+        assert "--bound" in capsys.readouterr().err
+
+
+def test_emit_of_a_product_with_two_states_of_one_name_exits_two(tmp_path):
+    write(tmp_path, "a.dot", 'digraph A { u -> "x,b:y" [label=step]; '
+                             'u -> x [label=go]; }\n')
+    write(tmp_path, "b.dot", 'digraph B { z -> "y,b:z" [label=tick]; }\n')
+    script = write(tmp_path, "s.hcs", 'a = dot("a.dot")\nb = dot("b.dot")\n'
+                                      'emit_dot(compose(a, b), "p.dot")\n')
+    r = run_cli("run", str(script), "--out-dir", str(tmp_path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "s.hcs:3:" in r.stderr and "'a:x,b:y,b:z'" in r.stderr
+    assert not (tmp_path / "p.dot").exists()

@@ -1,0 +1,85 @@
+"""The DOT frontend against the frozen reference scanner.
+
+Seeded mutations of the corpus models, of `tests/gen.py` models and of
+a few hand-written fragments must give the same `DotDocument`, or an
+error of the same type with the same message, line and column.  The
+edits insert the tokens whose handling is easiest to get wrong when
+whitespace is skipped once per token: unterminated comments, strings
+and brace groups, `->` inside values, and empty quoted names.
+"""
+
+import random
+
+import pytest
+
+import reference_dotio
+from gen import random_process
+from hetcomp.dotio import parse_dot_document
+from hetcomp.emitters import emit_dot
+from hetcomp.errors import HetcompError
+
+FRAGMENTS = [
+    'digraph g { a -> b -> c [label="x!", facets="guard: x>0"]; c; }',
+    'digraph { node [shape=box]; graph [rankdir=LR] edge [x=1]\n'
+    '  a [init=true] ; a -> b [label={\\red go!}]; }',
+    '# header\n// more\ndigraph "quoted name" {\n  "" -> "a\\"b" '
+    '[label="\\\\ x?"];;\n  b -> a [label=tau,,;label=y!] /* c */\n}\n',
+    'digraph g{a->b[label="p->q"]b->c[label={\\blue {nested}}]}',
+]
+
+SNIPPETS = [
+    "/*", "*/", "/* c */", "//x\n", "# y\n", '"', '""', '"a b"', "{", "}",
+    "{\\red a!}", "->", "-", ">", "=", "[", "]", ";", ",", " ", "\n", "\t",
+    "\\", '\\"', "digraph", "node", "graph", "edge", "label=", "x", "a->b",
+    "[label=", "=->", '="->"', "=a->b", "0.5", "!", "?",
+]
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = min(len(text), i + rng.randint(0, 4))
+        roll = rng.random()
+        if roll < 0.5:
+            text = text[:i] + rng.choice(SNIPPETS) + text[i:]
+        elif roll < 0.75:
+            text = text[:i] + rng.choice(SNIPPETS) + text[j:]
+        elif roll < 0.9:
+            text = text[:i] + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text, "m.dot")
+    except HetcompError as e:
+        return type(e), e.message, e.line, e.col
+
+
+def bases(corpus_dir):
+    rng = random.Random(5)
+    models = [emit_dot(random_process(rng, f"P{i}", ["a", "b"],
+                                      facets=True)) for i in range(12)]
+    corpus = [p.read_text() for p in sorted(corpus_dir.glob("*.dot"))]
+    return corpus + models + FRAGMENTS
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_documents_match_the_reference(corpus_dir, seed):
+    rng = random.Random(seed)
+    texts = bases(corpus_dir)
+    accepted = 0
+    for _ in range(800):
+        text = mutate(rng.choice(texts), rng)
+        want = outcome(reference_dotio.parse_dot_document, text)
+        assert outcome(parse_dot_document, text) == want, text
+        accepted += not isinstance(want, tuple)
+    assert accepted > 50
+
+
+def test_unmutated_bases_parse_alike(corpus_dir):
+    for text in bases(corpus_dir):
+        want = reference_dotio.parse_dot_document(text, "m.dot")
+        assert parse_dot_document(text, "m.dot") == want

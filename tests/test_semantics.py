@@ -306,3 +306,13 @@ def test_idle_component_preserves_traces():
         extended = compose(net, idle)
         assert len(product(extended).states) == len(product(net).states)
         assert traces_equal(net, extended, 4)
+
+
+def test_product_refuses_two_states_with_one_name():
+    # A:x with B:"y,B:z" and A:"x,B:y" with B:z are both "A:x,B:y,B:z"
+    net = compose(proc("A", ("u", "step", "x,B:y"), ("u", "go", "x")),
+                  proc("B", ("z", "tick", "y,B:z")))
+    states, _ = explore(net)
+    assert len(states) == 6
+    with pytest.raises(SemanticsError, match="'A:x,B:y,B:z'"):
+        product(net)
