@@ -249,18 +249,22 @@ def document_to_lts(doc: DotDocument, source: str = "<dot>") -> Lts:
         raise ParseError("cannot determine the initial state: no init=true "
                          "node and no edges", source=source)
 
+    # edges sharing a label text share one Label, parsed at the first
     transitions = []
+    labels: dict[str, Label] = {}
     for edge in doc.edges:
         label_text = strip_markup(edge.attrs.get("label", ""))
         facets_text = strip_markup(edge.attrs.get("facets", ""))
         combined = label_text or "tau"
         if facets_text:
             combined += "|" + facets_text
-        try:
-            label = parse_label(combined)
-        except HetcompError as e:
-            raise ParseError(f"bad edge label: {e}", line=edge.line,
-                             col=edge.col, source=source) from e
+        label = labels.get(combined)
+        if label is None:
+            try:
+                label = labels[combined] = parse_label(combined)
+            except HetcompError as e:
+                raise ParseError(f"bad edge label: {e}", line=edge.line,
+                                 col=edge.col, source=source) from e
         transitions.append(Transition(edge.source, label, edge.target))
 
     try:

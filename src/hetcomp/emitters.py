@@ -5,6 +5,13 @@ sorted canonically, so emitting the same value twice gives identical
 bytes.  Facets never vanish silently; whatever a format cannot express
 natively travels in its comment channel (Uppaal `comments` labels, the
 DOT `facets` attribute, LOTOS comments).
+
+Each emitter renders a piece of text once per call and looks it up
+after that: `emit_dot` quotes each state name once, and every emitter
+renders the attributes, comments or escaped text of each distinct
+`Label` once, in a dict keyed by the label.  The transitions come in
+their `Lts`'s one sort, and the last line carries the final newline,
+so the text is built by one join.
 """
 
 from __future__ import annotations
@@ -14,9 +21,22 @@ import re
 
 from .algebra import Process, SystemNet, shared_channels
 from .errors import EmitError
-from .lts import Direction, Lts, channels_of
+from .lts import Direction, Label, Lts, channels_of
 
 _UPPAAL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+class _Rendered(dict):
+    """render(key) for each key, computed on the first lookup."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
 def _escape(text: str) -> str:
@@ -60,6 +80,7 @@ def emit_uppaal(net: SystemNet) -> str:
     lines.append("</declaration>")
 
     next_id = 0
+    texts = _Rendered(lambda label: _uppaal_texts(label, shared))
     for inst, proc in net.components:
         if not _UPPAAL_ID_RE.match(inst):
             raise EmitError(f"instance name {inst!r} is not a valid "
@@ -87,20 +108,28 @@ def emit_uppaal(net: SystemNet) -> str:
             lines.append("    <transition>")
             lines.append(f'      <source ref="{ids[t.source]}"/>')
             lines.append(f'      <target ref="{ids[t.target]}"/>')
-            comm = t.label.comm
-            if comm.direction is not Direction.INTERNAL and comm.channel in shared:
+            sync, comment = texts[t.label]
+            if sync is not None:
                 lines.append(f'      <label kind="synchronisation" '
-                             f'x="{x + 8}" y="{y + 8}">'
-                             f"{_escape(comm.text)}</label>")
+                             f'x="{x + 8}" y="{y + 8}">{sync}</label>')
             lines.append(f'      <label kind="comments" x="{x + 8}" '
-                         f'y="{y + 32}">{_escape(t.label.text)}</label>')
+                         f'y="{y + 32}">{comment}</label>')
             lines.append("    </transition>")
         lines.append("  </template>")
 
     instances = ", ".join(inst for inst, _ in net.components)
     lines.append(f"  <system>system {instances};</system>")
-    lines.append("</nta>")
-    return "\n".join(lines) + "\n"
+    lines.append("</nta>\n")
+    return "\n".join(lines)
+
+
+def _uppaal_texts(label: Label, shared: list[str]) -> tuple[str | None, str]:
+    """label's escaped synchronisation text (None if it has none) and
+    escaped comment text."""
+    comm = label.comm
+    sync = (_escape(comm.text) if comm.direction is not Direction.INTERNAL
+            and comm.channel in shared else None)
+    return sync, _escape(label.text)
 
 
 def _dot_quote(s: str) -> str:
@@ -117,22 +146,35 @@ def emit_dot(x: Process | Lts) -> str:
         name, lts = x.name, x.body
     else:
         name, lts = "g", x
+    quoted = {s: _dot_quote(s) for s in lts.states}
     lines = [f"digraph {name} {{"]
     for s in sorted(lts.states):
         attrs = " [init=true]" if s == lts.initial else ""
-        lines.append(f"  {_dot_quote(s)}{attrs};")
+        lines.append(f"  {quoted[s]}{attrs};")
+    attrs = _Rendered(_dot_attrs)
     for t in lts.sorted_transitions():
-        attrs = f"label={_dot_quote(t.label.comm.text)}"
-        if t.label.facets:
-            attrs += f", facets={_dot_quote(t.label.facets_text)}"
-        lines.append(f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} "
-                     f"[{attrs}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {quoted[t.source]} -> {quoted[t.target]} "
+                     f"[{attrs[t.label]}];")
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
+def _dot_attrs(label: Label) -> str:
+    attrs = f"label={_dot_quote(label.comm.text)}"
+    if label.facets:
+        attrs += f", facets={_dot_quote(label.facets_text)}"
+    return attrs
 
 
 def _lotos_comment(text: str) -> str:
     return "(* " + text.replace("*)", "* )") + " *)"
+
+
+def _lotos_action(label: Label) -> str:
+    """label's action prefix with its commented original text."""
+    comm = label.comm
+    prefix = "i" if comm.direction is Direction.INTERNAL else comm.channel
+    return f"{prefix}; {_lotos_comment(label.text)}"
 
 
 def emit_lotos(p: Process) -> str:
@@ -165,6 +207,7 @@ def emit_lotos(p: Process) -> str:
         "where",
         "",
     ]
+    actions = _Rendered(_lotos_action)
     for s in sorted(p.body.states):
         lines.append(f"process {proc_names[s]}{gate_list} : noexit :=")
         outgoing = p.body.outgoing(s)
@@ -173,10 +216,7 @@ def emit_lotos(p: Process) -> str:
         else:
             terms = []
             for t in outgoing:
-                comm = t.label.comm
-                prefix = "i" if comm.direction is Direction.INTERNAL \
-                    else comm.channel
-                terms.append(f"{prefix}; {_lotos_comment(t.label.text)} "
+                terms.append(f"{actions[t.label]} "
                              f"{proc_names[t.target]}{gate_list}")
             if len(terms) == 1:
                 lines.append(f"  {terms[0]}")
@@ -187,5 +227,5 @@ def emit_lotos(p: Process) -> str:
                         lines.append("  []")
         lines.append("endproc")
         lines.append("")
-    lines.append("endproc")
-    return "\n".join(lines) + "\n"
+    lines.append("endproc\n")
+    return "\n".join(lines)

@@ -17,6 +17,15 @@ Label text grammar::
 
 Facets repeating a name are merged in first-occurrence order with ';'
 between payloads, so re-parsing a formatted label is stable.
+
+Labels are values that many transitions share, so `ChannelAction` and
+`Label` compute their `text` and their hash once, when they are made.
+Neither is a dataclass field: eq, repr and `fields()` see only the
+fields, the hash equals the one of the fields' tuple, and pickling
+rebuilds the value through its constructor so the hash is recomputed
+under the loading process's hash seed.  An `Lts` sorts its transitions
+once, on first use, and `sorted_transitions`, `outgoing` and the
+emitters all read that sort.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .errors import HetcompError, ParseError
 
@@ -60,7 +70,11 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelAction:
-    """Communication part of a label: a channel plus a direction."""
+    """Communication part of a label: a channel plus a direction.
+
+    `text` (channel then direction mark) is computed once, in
+    `__post_init__`, as is the hash.
+    """
 
     channel: str
     direction: Direction
@@ -78,15 +92,23 @@ class ChannelAction:
         elif not is_token(self.channel):
             raise HetcompError(f"invalid channel name {self.channel!r}: "
                                "must be letters, digits or underscores")
+        object.__setattr__(self, "text", self.channel + self.direction.value)
+        object.__setattr__(self, "_hash", hash((self.channel, self.direction)))
 
-    @property
-    def text(self) -> str:
-        return self.channel + self.direction.value
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.channel, self.direction)
 
 
 @dataclass(frozen=True)
 class Label:
-    """A faceted transition label; the communication facet is mandatory."""
+    """A faceted transition label; the communication facet is mandatory.
+
+    `text` (the grammar's form) is computed once, in `__post_init__`, as
+    is the hash.
+    """
 
     comm: ChannelAction
     facets: tuple[tuple[str, str], ...] = ()
@@ -103,6 +125,17 @@ class Label:
             if "|" in payload or "\n" in payload:
                 raise HetcompError(
                     f"facet payload {payload!r} must not contain '|' or newlines")
+        text = self.comm.text
+        if self.facets:
+            text += "|" + self.facets_text
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "_hash", hash((self.comm, self.facets)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.comm, self.facets)
 
     @classmethod
     def send(cls, channel: str, facets: Iterable[tuple[str, str]] = ()) -> "Label":
@@ -115,12 +148,6 @@ class Label:
     @classmethod
     def internal(cls, name: str = "tau", facets: Iterable[tuple[str, str]] = ()) -> "Label":
         return cls(ChannelAction(name, Direction.INTERNAL), tuple(facets))
-
-    @property
-    def text(self) -> str:
-        parts = [self.comm.text]
-        parts.extend(f"{name}:{payload}" for name, payload in self.facets)
-        return "|".join(parts)
 
     @property
     def facets_text(self) -> str:
@@ -182,7 +209,9 @@ class Transition:
 class Lts:
     """States, one initial state, and a set of labelled transitions.
 
-    `outgoing` reads a per-state index built once, on first use.
+    The transitions are sorted once, on first use, by source, label
+    text and target; `sorted_transitions` copies that sort and
+    `outgoing` reads a per-state index built from it.
     """
 
     states: frozenset[str]
@@ -194,31 +223,35 @@ class Lts:
         object.__setattr__(self, "states", frozenset(states))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", frozenset(transitions))
-        for s in self.states:
+        states = self.states
+        for s in states:
             _check_name(s, "state name")
-        if self.initial not in self.states:
-            raise HetcompError(f"initial state {self.initial!r} is not a state")
+        if initial not in states:
+            raise HetcompError(f"initial state {initial!r} is not a state")
         for t in self.transitions:
-            if t.source not in self.states or t.target not in self.states:
+            if t.source not in states or t.target not in states:
                 raise HetcompError(
                     f"transition {t.source!r} -> {t.target!r} leaves the state set")
 
     def sorted_transitions(self) -> list[Transition]:
-        return sorted(self.transitions, key=_transition_key)
+        return list(self._sorted)
 
     def outgoing(self, state: str) -> tuple[Transition, ...]:
         """Transitions leaving state, in canonical order (() if none)."""
         return self._outgoing.get(state, ())
 
+    # cached attributes, not fields: no part in equality, hash or repr
+    @cached_property
+    def _sorted(self) -> tuple[Transition, ...]:
+        return tuple(sorted(self.transitions, key=_transition_key))
+
     @cached_property
     def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
-        # a cached attribute, not a field: no part in equality, hash or repr
-        return {s: tuple(ts) for s, ts in
-                groupby(self.sorted_transitions(), lambda t: t.source)}
+        return {s: tuple(ts) for s, ts in groupby(self._sorted, _source)}
 
 
-def _transition_key(t: Transition) -> tuple[str, str, str]:
-    return (t.source, t.label.text, t.target)
+_transition_key = attrgetter("source", "label.text", "target")
+_source = attrgetter("source")
 
 
 def channels_of(lts: Lts) -> set[str]:
@@ -269,8 +302,10 @@ def isomorphic(a: Lts, b: Lts) -> bool:
 
     The bijection must carry initial to initial and transitions to
     transitions with identical labels.  Candidate pairings are pruned by
-    iterated neighbourhood colouring before backtracking, which is
-    plenty for the model sizes this package targets.
+    iterated neighbourhood colouring, which stops as soon as a round
+    splits no class, before an iterative backtracking search.  Colouring
+    takes a round per split, so a chain with one label on every edge
+    costs about |S| rounds; distinct labels settle in two.
     """
     if len(a.states) != len(b.states) or len(a.transitions) != len(b.transitions):
         return False
@@ -286,7 +321,8 @@ def isomorphic(a: Lts, b: Lts) -> bool:
 
     def refine(lts: Lts, inc: dict[str, list[Transition]]) -> dict[str, int]:
         colors = {s: (s == lts.initial) for s in lts.states}
-        for _ in range(len(lts.states)):
+        count = len(set(colors.values()))
+        while True:
             sig = {
                 s: (colors[s],
                     tuple(sorted((t.label.text, colors[t.target])
@@ -295,11 +331,12 @@ def isomorphic(a: Lts, b: Lts) -> bool:
                 for s in lts.states
             }
             palette = {v: i for i, v in enumerate(sorted(set(sig.values()), key=repr))}
-            new = {s: palette[sig[s]] for s in lts.states}
-            if new == colors:
-                break
-            colors = new
-        return colors
+            colors = {s: palette[sig[s]] for s in lts.states}
+            # a signature holds the old colour, so a round only splits
+            # classes; one that splits none leaves the partition stable
+            if len(palette) == count:
+                return colors
+            count = len(palette)
 
     a_in = incoming(a)
     ca, cb = refine(a, a_in), refine(b, incoming(b))
@@ -316,29 +353,32 @@ def isomorphic(a: Lts, b: Lts) -> bool:
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        s = order[i]
+    def candidates(s: str) -> Iterator[str]:
+        """b's states that s can map to, given the mapping so far."""
         for cand in sorted(by_color.get(ca[s], ())):
-            if cand in used:
+            if cand in used or (s == a.initial) != (cand == b.initial):
                 continue
-            if (s == a.initial) != (cand == b.initial):
-                continue
-            ok = all((cand, t.label, mapping[t.target]) in b_trans
-                     for t in a.outgoing(s) if t.target in mapping)
-            ok = ok and all((mapping[t.source], t.label, cand) in b_trans
-                            for t in a_in[s] if t.source in mapping)
-            ok = ok and all((cand, t.label, cand) in b_trans
-                            for t in a.outgoing(s) if t.target == s)
-            if not ok:
-                continue
-            mapping[s] = cand
-            used.add(cand)
-            if place(i + 1):
-                return True
-            del mapping[s]
-            used.discard(cand)
-        return False
+            if all((cand, t.label, mapping[t.target]) in b_trans
+                   for t in a.outgoing(s) if t.target in mapping) \
+                    and all((mapping[t.source], t.label, cand) in b_trans
+                            for t in a_in[s] if t.source in mapping) \
+                    and all((cand, t.label, cand) in b_trans
+                            for t in a.outgoing(s) if t.target == s):
+                yield cand
 
-    return place(0)
+    # depth-first over order: levels[i] yields order[i]'s candidates
+    levels = [candidates(order[0])]
+    while levels:
+        s = order[len(levels) - 1]
+        if s in mapping:                # back here: drop s's last choice
+            used.discard(mapping.pop(s))
+        cand = next(levels[-1], None)
+        if cand is None:
+            levels.pop()
+            continue
+        mapping[s] = cand
+        used.add(cand)
+        if len(levels) == len(order):
+            return True
+        levels.append(candidates(order[len(levels)]))
+    return False

@@ -41,8 +41,10 @@ decoded targets' `text`, computed for such tied groups only, so the
 order is exactly `step_sort_key`'s.  `GlobalState` and
 `GlobalTransition` values are decoded only where the public contract
 needs them: `explore`, witnesses (`Search.path_to`), the public
-`enabled` (which validates its state first) and the state names and
-labels of `product`.
+`enabled` (which validates its state first) and the labels of
+`product`.  State names (`GlobalState.text` of a decoded state) are
+joined from a per-component table of ``inst:state`` strings, filled as
+local states are interned, without decoding the state.
 """
 
 from __future__ import annotations
@@ -212,6 +214,7 @@ class _Compiled:
         bodies = [proc.body for _, proc in net.components]
         self.states: list[list[str]] = [[] for _ in names]   # by local int
         self.index: list[dict[str, int]] = [{} for _ in names]
+        self.texts: list[list[str]] = [[] for _ in names]    # "inst:state"
 
         # every step kind the net can take, with its label if it is
         # local, and each component's moves by source state as (kind,
@@ -267,6 +270,7 @@ class _Compiled:
         if l is None:
             l = index[state] = len(self.states[i])
             self.states[i].append(state)
+            self.texts[i].append(f"{self.names[i]}:{state}")
         return l
 
     def compile_moves(self, i: int, l: int) -> tuple:
@@ -358,7 +362,12 @@ class _Compiled:
             tuple(self.position[tok] for tok in toks) for _, toks in g.buffers)
 
     def text(self, s: tuple) -> str:
-        return self.decode(s).text
+        """`GlobalState.text` of s's decoded state, joined from tables."""
+        text = ",".join(map(list.__getitem__, self.texts, s))
+        names, n = self.names, len(self.names)
+        for j, chan in enumerate(self.buffered):
+            text += f";{chan}=" + ".".join([names[k] for k in s[n + j]])
+        return text
 
     def transition(self, s: tuple, rank: int, t: tuple) -> GlobalTransition:
         return GlobalTransition(self.decode(s), self.kinds[rank],
@@ -482,8 +491,9 @@ def product(net: SystemNet, bound: int | None = None) -> Lts:
         raise SemanticsError(f"two reachable states are both named {shared!r}")
     labels = [_label_of(kind, local_label) for kind, local_label
               in zip(compiled.kinds, compiled.local_labels)]
-    transitions = [Transition(name[s], labels[rank], name[t])
-                   for s, here in expanded for rank, t in here]
+    transitions = [Transition(source, labels[rank], name[t])
+                   for s, here in expanded for source in (name[s],)
+                   for rank, t in here]
     return Lts(name.values(), name[compiled.initial], transitions)
 
 

@@ -343,3 +343,21 @@ def test_emit_of_a_product_with_two_states_of_one_name_exits_two(tmp_path):
     assert r.returncode == 2 and r.stdout == ""
     assert "s.hcs:3:" in r.stderr and "'a:x,b:y,b:z'" in r.stderr
     assert not (tmp_path / "p.dot").exists()
+
+
+def test_philo_script_runs_with_closed_form_counts(tmp_path, capsys):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "philo_script.py")
+    made = subprocess.run([sys.executable, script, str(tmp_path), "--n", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert made.returncode == 0, made.stderr
+    assert len(list(tmp_path.glob("*.dot"))) == 6
+    assert main(["run", str(tmp_path / "philo.hcs"),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "check A[] not deadlock: false\n  witness (3 steps):" in out
+    assert "check E<> P0.e and P1.e: false" in out
+    lines = (tmp_path / "out" / "philo_product.dot").read_text().splitlines()
+    # 3^3 - 1 states and 3(2*3^2 - 1) transitions
+    assert sum(" -> " not in line for line in lines[1:-1]) == 26
+    assert sum(" -> " in line for line in lines) == 51

@@ -1,6 +1,12 @@
 """Core model tests: labels, the label grammar, Lts operations."""
 
+import copy
+import dataclasses
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -291,3 +297,166 @@ def test_outgoing_leaves_equality_and_hash_alone():
         assert lts == fresh
         assert hash(lts) == hash(fresh)
         assert repr(lts) == repr(fresh)
+
+
+def _chain(n, labels, names):
+    return Lts(names, names[0], [Transition(names[i], labels[i], names[i + 1])
+                                 for i in range(n - 1)])
+
+
+def test_isomorphic_on_long_chains_with_distinct_labels():
+    n = 3000
+    labels = [Label.internal(f"a{i}") for i in range(n - 1)]
+    names = [f"s{i}" for i in range(n)]
+    a = _chain(n, labels, names)
+    shuffled = names[:]
+    random.Random(13).shuffle(shuffled)
+    assert isomorphic(a, _chain(n, labels, shuffled))
+    swapped = labels[:]
+    swapped[1000], swapped[2000] = swapped[2000], swapped[1000]
+    assert not isomorphic(a, _chain(n, swapped, shuffled))
+
+
+# ---- the value contract: text and hash computed once ----
+
+@given(labels())
+@settings(max_examples=100)
+def test_label_hash_and_text_match_the_fields(label):
+    assert hash(label) == hash((label.comm, label.facets))
+    comm = label.comm
+    assert hash(comm) == hash((comm.channel, comm.direction))
+    assert comm.text == comm.channel + comm.direction.value
+    assert label.text == "|".join(
+        [comm.text] + [f"{name}:{payload}" for name, payload in label.facets])
+    t = Transition("s", label, "t")
+    assert hash(t) == hash(("s", label, "t"))
+
+
+def test_label_fields_repr_and_eq_are_the_fields_only():
+    assert [f.name for f in dataclasses.fields(ChannelAction)] == [
+        "channel", "direction"]
+    assert [f.name for f in dataclasses.fields(Label)] == ["comm", "facets"]
+    assert [f.name for f in dataclasses.fields(Transition)] == [
+        "source", "label", "target"]
+    assert [f.name for f in dataclasses.fields(Lts)] == [
+        "states", "initial", "transitions"]
+    label = Label.send("a", [("guard", "x>0")])
+    assert repr(label) == ("Label(comm=ChannelAction(channel='a', "
+                           "direction=<Direction.SEND: '!'>), "
+                           "facets=(('guard', 'x>0'),))")
+    assert dataclasses.asdict(label) == {
+        "comm": {"channel": "a", "direction": Direction.SEND},
+        "facets": (("guard", "x>0"),)}
+    again = parse_label("a!|guard:x>0")
+    assert again == label and again is not label
+    assert label != Label.receive("a", [("guard", "x>0")])
+    assert label != Label.send("a")
+    for copy_ in (copy.copy(label), copy.deepcopy(label),
+                  dataclasses.replace(label)):
+        assert copy_ == label
+        assert (copy_.text, hash(copy_)) == (label.text, hash(label))
+    moved = dataclasses.replace(label, comm=ChannelAction("b", Direction.SEND))
+    assert (moved.text, hash(moved)) == (
+        "b!|guard:x>0", hash((moved.comm, moved.facets)))
+
+
+def test_sorted_transitions_is_a_fresh_list_each_call():
+    lts = Lts(["a", "b"], "a", [Transition("a", parse_label("x!"), "b"),
+                                Transition("b", parse_label("y?"), "a")])
+    first = lts.sorted_transitions()
+    assert isinstance(first, list)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert lts.sorted_transitions() == expected
+    assert lts.sorted_transitions() is not lts.sorted_transitions()
+    assert lts.outgoing("a") == (expected[0],)
+    assert lts == Lts(["a", "b"], "a", expected)
+
+
+_PICKLE_LABEL = ("import pickle, sys; from hetcomp import Label; "
+                 "sys.stdout.write(pickle.dumps(Label.send("
+                 "'chan', [('guard', 'x>0'), ('data', 'v')])).hex())")
+_LOAD_LABEL = ("import pickle, sys; from hetcomp import Label; "
+               "label = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+               "fresh = Label.send('chan', [('guard', 'x>0'), ('data', 'v')]); "
+               "assert label in {fresh}, 'not found'; "
+               "assert hash(label) == hash(fresh); "
+               "assert hash(label.comm) == hash(fresh.comm); "
+               "assert label.text == fresh.text == 'chan!|guard:x>0|data:v'")
+
+
+def test_pickled_label_rehashes_under_another_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "1"
+    dumped = subprocess.run([sys.executable, "-c", _PICKLE_LABEL], env=env,
+                            capture_output=True, text=True, check=True).stdout
+    env["PYTHONHASHSEED"] = "2"
+    loaded = subprocess.run([sys.executable, "-c", _LOAD_LABEL], env=env,
+                            input=dumped, capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+
+
+def _isomorphic_by_brute_force(a, b):
+    if len(a.states) != len(b.states):
+        return False
+    names = sorted(a.states)
+    want = {(t.source, t.label, t.target) for t in b.transitions}
+    for image in itertools.permutations(sorted(b.states)):
+        m = dict(zip(names, image))
+        if m[a.initial] == b.initial and want == {
+                (m[t.source], t.label, m[t.target]) for t in a.transitions}:
+            return True
+    return False
+
+
+def test_isomorphic_agrees_with_brute_force_on_symmetric_ltses():
+    # few labels and permuted copies with one edge retargeted half the
+    # time: colouring leaves ties, so the search has to backtrack
+    rng = random.Random(14)
+    labels = [Label.internal("x"), Label.internal("y")]
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        names = [f"s{i}" for i in range(n)]
+        a = Lts(names, "s0", {Transition(rng.choice(names),
+                                         rng.choice(labels),
+                                         rng.choice(names))
+                              for _ in range(rng.randint(n, 2 * n))})
+        image = names[:]
+        rng.shuffle(image)
+        m = dict(zip(names, image))
+        moved = [Transition(m[t.source], t.label, m[t.target])
+                 for t in a.transitions]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(moved))
+            moved[i] = Transition(moved[i].source, moved[i].label,
+                                  rng.choice(image))
+        b = Lts(image, m["s0"], moved)
+        verdict = isomorphic(a, b)
+        assert verdict == _isomorphic_by_brute_force(a, b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_isomorphic_backtracks_over_copies_of_one_cycle():
+    # an initial state enters 2-3 equal cycles with one label; colouring
+    # cannot tell the copies apart, and shuffled names make the search
+    # place states of different copies next to each other
+    rng = random.Random(15)
+    x = Label.internal("x")
+    for _ in range(60):
+        copies, length = rng.randint(2, 3), rng.randint(2, 4)
+        names = ["i"] + [f"c{j}_{k}" for j in range(copies)
+                         for k in range(length)]
+        edges = [("i", f"c{j}_0") for j in range(copies)] + [
+            (f"c{j}_{k}", f"c{j}_{(k + 1) % length}")
+            for j in range(copies) for k in range(length)]
+        sides = []
+        for _ in range(2):
+            image = names[:]
+            rng.shuffle(image)
+            m = dict(zip(names, image))
+            sides.append(Lts(image, m["i"], [Transition(m[s], x, m[t])
+                                              for s, t in edges]))
+        assert isomorphic(*sides)
