@@ -312,9 +312,78 @@ def test_isomorphic_on_long_chains_with_distinct_labels():
     shuffled = names[:]
     random.Random(13).shuffle(shuffled)
     assert isomorphic(a, _chain(n, labels, shuffled))
+    relabelled = labels[:]
+    relabelled[1500] = Label.internal("b")
+    assert not isomorphic(a, _chain(n, relabelled, shuffled))
+    # the same label multiset, so only the colouring can tell
     swapped = labels[:]
     swapped[1000], swapped[2000] = swapped[2000], swapped[1000]
     assert not isomorphic(a, _chain(n, swapped, shuffled))
+
+
+def _isomorphic_by_brute_force(a, b):
+    if len(a.states) != len(b.states):
+        return False
+    names = sorted(a.states)
+    want = {(t.source, t.label, t.target) for t in b.transitions}
+    for image in itertools.permutations(sorted(b.states)):
+        m = dict(zip(names, image))
+        if m[a.initial] == b.initial and want == {
+                (m[t.source], t.label, m[t.target]) for t in a.transitions}:
+            return True
+    return False
+
+
+def test_isomorphic_agrees_with_brute_force_on_symmetric_ltses():
+    # few labels and permuted copies with one edge retargeted half the
+    # time: colouring leaves ties, so the search has to backtrack
+    rng = random.Random(14)
+    labels = [Label.internal("x"), Label.internal("y")]
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        names = [f"s{i}" for i in range(n)]
+        a = Lts(names, "s0", {Transition(rng.choice(names),
+                                         rng.choice(labels),
+                                         rng.choice(names))
+                              for _ in range(rng.randint(n, 2 * n))})
+        image = names[:]
+        rng.shuffle(image)
+        m = dict(zip(names, image))
+        moved = [Transition(m[t.source], t.label, m[t.target])
+                 for t in a.transitions]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(moved))
+            moved[i] = Transition(moved[i].source, moved[i].label,
+                                  rng.choice(image))
+        b = Lts(image, m["s0"], moved)
+        verdict = isomorphic(a, b)
+        assert verdict == _isomorphic_by_brute_force(a, b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_isomorphic_backtracks_over_copies_of_one_cycle():
+    # an initial state enters 2-3 equal cycles with one label; colouring
+    # cannot tell the copies apart, and shuffled names make the search
+    # place states of different copies next to each other
+    rng = random.Random(15)
+    x = Label.internal("x")
+    for _ in range(60):
+        copies, length = rng.randint(2, 3), rng.randint(2, 4)
+        names = ["i"] + [f"c{j}_{k}" for j in range(copies)
+                         for k in range(length)]
+        edges = [("i", f"c{j}_0") for j in range(copies)] + [
+            (f"c{j}_{k}", f"c{j}_{(k + 1) % length}")
+            for j in range(copies) for k in range(length)]
+        sides = []
+        for _ in range(2):
+            image = names[:]
+            rng.shuffle(image)
+            m = dict(zip(names, image))
+            sides.append(Lts(image, m["i"], [Transition(m[s], x, m[t])
+                                              for s, t in edges]))
+        assert isomorphic(*sides)
 
 
 # ---- the value contract: text and hash computed once ----
@@ -395,68 +464,3 @@ def test_pickled_label_rehashes_under_another_hash_seed():
     loaded = subprocess.run([sys.executable, "-c", _LOAD_LABEL], env=env,
                             input=dumped, capture_output=True, text=True)
     assert loaded.returncode == 0, loaded.stderr
-
-
-def _isomorphic_by_brute_force(a, b):
-    if len(a.states) != len(b.states):
-        return False
-    names = sorted(a.states)
-    want = {(t.source, t.label, t.target) for t in b.transitions}
-    for image in itertools.permutations(sorted(b.states)):
-        m = dict(zip(names, image))
-        if m[a.initial] == b.initial and want == {
-                (m[t.source], t.label, m[t.target]) for t in a.transitions}:
-            return True
-    return False
-
-
-def test_isomorphic_agrees_with_brute_force_on_symmetric_ltses():
-    # few labels and permuted copies with one edge retargeted half the
-    # time: colouring leaves ties, so the search has to backtrack
-    rng = random.Random(14)
-    labels = [Label.internal("x"), Label.internal("y")]
-    verdicts = set()
-    for _ in range(400):
-        n = rng.randint(2, 6)
-        names = [f"s{i}" for i in range(n)]
-        a = Lts(names, "s0", {Transition(rng.choice(names),
-                                         rng.choice(labels),
-                                         rng.choice(names))
-                              for _ in range(rng.randint(n, 2 * n))})
-        image = names[:]
-        rng.shuffle(image)
-        m = dict(zip(names, image))
-        moved = [Transition(m[t.source], t.label, m[t.target])
-                 for t in a.transitions]
-        if rng.random() < 0.5:
-            i = rng.randrange(len(moved))
-            moved[i] = Transition(moved[i].source, moved[i].label,
-                                  rng.choice(image))
-        b = Lts(image, m["s0"], moved)
-        verdict = isomorphic(a, b)
-        assert verdict == _isomorphic_by_brute_force(a, b)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
-def test_isomorphic_backtracks_over_copies_of_one_cycle():
-    # an initial state enters 2-3 equal cycles with one label; colouring
-    # cannot tell the copies apart, and shuffled names make the search
-    # place states of different copies next to each other
-    rng = random.Random(15)
-    x = Label.internal("x")
-    for _ in range(60):
-        copies, length = rng.randint(2, 3), rng.randint(2, 4)
-        names = ["i"] + [f"c{j}_{k}" for j in range(copies)
-                         for k in range(length)]
-        edges = [("i", f"c{j}_0") for j in range(copies)] + [
-            (f"c{j}_{k}", f"c{j}_{(k + 1) % length}")
-            for j in range(copies) for k in range(length)]
-        sides = []
-        for _ in range(2):
-            image = names[:]
-            rng.shuffle(image)
-            m = dict(zip(names, image))
-            sides.append(Lts(image, m["i"], [Transition(m[s], x, m[t])
-                                              for s, t in edges]))
-        assert isomorphic(*sides)
