@@ -114,6 +114,13 @@ class SystemNet:
         # lookup tables, not fields: no part in equality, hashing or repr
         object.__setattr__(self, "_by_name", dict(self.components))
         object.__setattr__(self, "_modes", dict(self.channel_modes))
+        # the net's searches by state bound (`semantics.search_of`)
+        object.__setattr__(self, "_searches", {})
+
+    def __reduce__(self):
+        # through the constructor: a copy or an unpickled net gets fresh
+        # tables and no searches
+        return type(self), (self.components, self.channel_modes)
 
     def instance_names(self) -> list[str]:
         return [n for n, _ in self.components]

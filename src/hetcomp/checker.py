@@ -5,13 +5,15 @@ Two query forms are supported, mirroring the Uppaal-style notation:
     A[] not deadlock
     E<> inst.state and inst2.state2 ...
 
-Checking drives `semantics.Search`, the breadth-first engine behind
-`explore` and `product`, on compiled states (a reachability target is
-a list of component index and local int pairs), and stops at the first
-target or deadlocked state in discovery order, so witnesses are
-shortest paths with ties broken by the canonical enabled order.  A
-search that the state bound cut off without an answer yields
-"unknown", distinct from true and false.
+Checking reads the net's recorded search (`semantics.search_of`), the
+one `explore` and `product` read, on compiled states (a reachability
+target is a list of component index and local int pairs).  It replays
+what earlier consumers recorded, extends the search only past that,
+and stops at the first target or deadlocked state in discovery order,
+so witnesses are shortest paths with ties broken by the canonical
+enabled order, read back from the recorded steps.  A search that the
+state bound cut off without an answer yields "unknown", distinct from
+true and false.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import SystemNet
 from .errors import AlgebraError, ParseError, QueryError
 from .semantics import (AsyncReceive, AsyncSend, GlobalTransition, Handshake,
-                        Local, Search)
+                        Local, search_of)
 from .semantics import enabled  # noqa: F401  wrapped by perfbench/spans.py
 
 
@@ -122,15 +124,17 @@ def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
                     f"query names unknown state {state!r} of instance {inst}")
 
     is_reach = q.kind == "reach"
-    search = Search(net, bound)
-    compiled, goal = search.compiled, []   # goal: (component, local int)
+    search = search_of(net, bound)
+    compiled, states, steps = search.compiled, search.states, search.steps
+    goal = []   # (component, local int)
     for inst, state in q.conjuncts:
         i = compiled.position[inst]
         goal.append((i, compiled.local(i, state)))
-    for s, steps in search:
-        if all(s[i] == l for i, l in goal) if is_reach else not steps:
-            return Verdict("true" if is_reach else "false", search.path_to(s))
-    if search.truncated:
+    for k in search:
+        if (all(states[k][i] == l for i, l in goal) if is_reach
+                else not steps[k]):
+            return Verdict("true" if is_reach else "false", search.path_to(k))
+    if search.cut is not None:
         return Verdict("unknown", None, search.bound)
     return Verdict("false" if is_reach else "true")
 

@@ -80,6 +80,8 @@ class Interpreter:
         self.env: dict[str, Process | SystemNet] = {}
         self.modes: dict[str, ChannelMode] = {}
         self.outcomes: list[str] = []
+        # (id of a value, declared modes) -> (value, its net under them)
+        self._moded: dict[tuple, tuple[Process | SystemNet, SystemNet]] = {}
 
     def run(self, program: ScriptProgram) -> None:
         for stmt in program.statements:
@@ -134,8 +136,7 @@ class Interpreter:
             self._eval(call)  # bare filter: evaluated, result discarded
 
     def _check(self, call: Call) -> None:
-        net = self._as_net(self._eval(call.args[0]))
-        net = with_channel_modes(net, self.modes)
+        net = self._moded_net(self._eval(call.args[0]))
         qtext = call.args[1].value
         query = checker.parse_query(qtext)
         verdict = checker.check(net, query, self.options.bound)
@@ -157,8 +158,7 @@ class Interpreter:
     def _emit(self, call: Call) -> None:
         value = self._eval(call.args[0])
         if call.func == "emit_uppaal":
-            net = with_channel_modes(self._as_net(value), self.modes)
-            text = emitters.emit_uppaal(net)
+            text = emitters.emit_uppaal(self._moded_net(value))
         elif call.func == "emit_lotos":
             if not isinstance(value, Process):
                 raise ScriptError("emit_lotos expects a process",
@@ -168,7 +168,7 @@ class Interpreter:
             if isinstance(value, Process):
                 text = emitters.emit_dot(value)
             else:
-                net = with_channel_modes(value, self.modes)
+                net = self._moded_net(value)
                 text = emitters.emit_dot(product(net, self.options.bound))
         _write_output(text, call.args[1].value, self.options.out_dir)
 
@@ -229,8 +229,21 @@ class Interpreter:
                               source=str(self.script_path))
         return value
 
-    def _as_net(self, value: Process | SystemNet) -> SystemNet:
-        return compose(value) if isinstance(value, Process) else value
+    def _moded_net(self, value: Process | SystemNet) -> SystemNet:
+        """value as a net under the modes declared so far.
+
+        One value under one set of declarations gives one net for the
+        whole run, so the statements that use it share its search.  The
+        key is the value's identity, which stays valid because the entry
+        keeps the value alive.
+        """
+        key = (id(value), tuple(self.modes.items()))
+        entry = self._moded.get(key)
+        if entry is None:
+            net = compose(value) if isinstance(value, Process) else value
+            entry = self._moded[key] = (
+                value, with_channel_modes(net, self.modes))
+        return entry[1]
 
 
 def run_script(path: str | Path, options: RunOptions) -> int:

@@ -23,9 +23,10 @@ Labels are values that many transitions share, so `ChannelAction` and
 Neither is a dataclass field: eq, repr and `fields()` see only the
 fields, the hash equals the one of the fields' tuple, and pickling
 rebuilds the value through its constructor so the hash is recomputed
-under the loading process's hash seed.  An `Lts` sorts its transitions
-once, on first use, and `sorted_transitions`, `outgoing` and the
-emitters all read that sort.
+under the loading process's hash seed.  A `Transition` is slotted, as
+a product holds one per edge, and unpickles the same way.  An `Lts`
+sorts its transitions once, on first use, and `sorted_transitions`,
+`outgoing` and the emitters all read that sort.
 """
 
 from __future__ import annotations
@@ -198,11 +199,16 @@ def _comm_token(comm_text: str, whole: str) -> str:
     return channel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
+    """One labelled edge; slotted, and unpickled through its constructor."""
+
     source: str
     label: Label
     target: str
+
+    def __reduce__(self):
+        return type(self), (self.source, self.label, self.target)
 
 
 @dataclass(frozen=True)

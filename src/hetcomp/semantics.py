@@ -18,9 +18,17 @@ component interfaces.  Buffers are tracked for shared asynchronous
 channels only.
 
 One breadth-first engine, `Search`, serves `explore`, `product`,
-`traces` and `checker.check`.  It runs on a compiled form of the net,
-`_Compiled`, built once per search in the manner of a partitioned
-next-state function:
+`traces` and `checker.check`, and each net value runs it at most once
+per state bound.  A search is a record: the states it has discovered
+in order, and for each state it has expanded the first parent and the
+steps, as positions into that order.  `search_of` keeps one search per
+bound on the net (in a table that is no part of the net's value, and
+that copies and pickles leave behind), and every consumer replays the
+record before it extends it.  BFS order is deterministic, so a
+consumer gets exactly what a fresh search would give it, first hits,
+witnesses and the bound's cut included.  The search runs on a compiled
+form of the net, `_Compiled`, built once per search in the manner of a
+partitioned next-state function:
 
 * every step kind the net can take (`Local`, `AsyncSend`,
   `AsyncReceive`, and `Handshake` per channel, sender and receiver)
@@ -36,7 +44,7 @@ next-state function:
   channel order) holding the senders' component indices, oldest first.
 
 A step is a (rank, target) pair, and the enabled steps of a state sort
-by rank.  Steps of equal kind (nondeterminism) are ordered by their
+by rank; the record keeps them as (rank, target position) pairs.  Steps of equal kind (nondeterminism) are ordered by their
 decoded targets' `text`, computed for such tied groups only, so the
 order is exactly `step_sort_key`'s.  `GlobalState` and
 `GlobalTransition` values are decoded only where the public contract
@@ -49,7 +57,8 @@ local states are interned, without decoding the state.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -401,59 +410,114 @@ def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:
 
 
 class Search:
-    """One breadth-first search over the reachable global states of net.
+    """The breadth-first search of a net's reachable states, as a record.
 
-    Iterated once, it yields each compiled state with its enabled steps,
-    (rank, target) pairs in canonical order, in discovery order and
-    after discovering their targets.  At most `bound` states are
-    discovered; `truncated` records that one was cut off.  `parent` maps
-    each discovered state to the state it was first reached from.
-    `compiled` decodes states and steps.
+    The record grows as the search runs:
+
+    * `states` holds the compiled states in discovery order;
+    * `parent[k]` is the position of the state that state k was first
+      reached from, or -1 for the initial state (an int array);
+    * `steps[k]`, for each expanded state k, holds its enabled steps as
+      one flat tuple (rank, target position, rank, target position,
+      ...) in canonical order, with -1 for a target the bound cut off,
+      so `not steps[k]` still means deadlock;
+    * `index` maps each state to its position while states are still
+      being discovered, and is dropped once every one is expanded;
+    * `cut` is the number of states expanded when the bound first cut
+      a target off, or None.
+
+    At most `bound` states are discovered.  Iterating yields the
+    position of each expanded state in discovery order, after its steps
+    are recorded: one loop replays the record and expands the next
+    state only where an iterator reaches the record's end.  So every
+    iterator over one search, interleaved with others or after them,
+    sees the sequence a fresh search would give.  `compiled` decodes
+    states and steps.
     """
 
     def __init__(self, net: SystemNet, bound: int | None = None):
         self.compiled = _Compiled(net)
         self.bound = DEFAULT_STATE_BOUND if bound is None else bound
-        self.parent: dict[tuple, tuple | None] = {self.compiled.initial: None}
-        self.truncated = False
+        initial = self.compiled.initial
+        self.states: list[tuple] = [initial]
+        self.index: dict[tuple, int] | None = {initial: 0}
+        self.parent = array("q", [-1])   # no int object per entry
+        self.steps: list[tuple[int, ...]] = []
+        self.cut: int | None = None
 
-    def __iter__(self) -> Iterator[tuple[tuple, list[tuple[int, tuple]]]]:
-        successors, parent, bound = (self.compiled.successors, self.parent,
-                                     self.bound)
-        queue = deque(parent)
-        while queue:
-            s = queue.popleft()
-            steps = successors(s)
-            for _, t in steps:
-                if t not in parent:
-                    if len(parent) < bound:
-                        parent[t] = s
-                        queue.append(t)
-                    else:
-                        self.truncated = True
-            yield s, steps
+    def __iter__(self) -> Iterator[int]:
+        k = 0
+        while k < len(self.states):
+            if k == len(self.steps):
+                self._expand()
+            yield k
+            k += 1
 
-    def path_to(self, s: tuple) -> tuple[GlobalTransition, ...]:
-        """The shortest path from the initial state to discovered s.
+    def _expand(self) -> None:
+        """Record the steps of the first state not yet expanded."""
+        states, index, parent, steps = (self.states, self.index, self.parent,
+                                        self.steps)
+        k, bound = len(steps), self.bound
+        flat: list[int] = []
+        for rank, t in self.compiled.successors(states[k]):
+            j = index.get(t)
+            if j is None:
+                if len(states) < bound:
+                    j = index[t] = len(states)
+                    states.append(t)
+                    parent.append(k)
+                else:
+                    j = -1
+                    if self.cut is None:
+                        self.cut = k + 1
+            flat += rank, j
+        steps.append(tuple(flat))
+        if len(steps) == len(states):
+            self.index = None
+
+    def complete(self) -> None:
+        """Expand every state; StateBoundExceeded once the bound cuts in.
+
+        The error is raised where a fresh search would raise it: after
+        `cut` states, with the discovered states not yet expanded then
+        as its frontier.
+        """
+        for _ in self:
+            if self.cut is not None:
+                raise StateBoundExceeded(self.bound,
+                                         len(self.states) - self.cut)
+
+    def path_to(self, k: int) -> tuple[GlobalTransition, ...]:
+        """The shortest path from the initial state to expanded state k.
 
         Each step is the first one in canonical order from its source to
         its target, the one that discovered the target.
         """
-        compiled, path = self.compiled, []
-        source = self.parent[s]
-        while source is not None:
-            rank = next(r for r, t in compiled.successors(source) if t == s)
-            path.append(compiled.transition(source, rank, s))
-            s, source = source, self.parent[source]
+        compiled, states, parent, steps = (self.compiled, self.states,
+                                           self.parent, self.steps)
+        path = []
+        source = parent[k]
+        while source >= 0:
+            flat = steps[source]
+            rank = flat[2 * flat[1::2].index(k)]
+            path.append(compiled.transition(states[source], rank, states[k]))
+            k, source = source, parent[source]
         return tuple(reversed(path))
 
 
-def _complete(search: Search) -> Iterator[tuple[tuple, list[tuple[int, tuple]]]]:
-    """search's states and steps; StateBoundExceeded once it is cut off."""
-    for done, item in enumerate(search, 1):
-        if search.truncated:
-            raise StateBoundExceeded(search.bound, len(search.parent) - done)
-        yield item
+def search_of(net: SystemNet, bound: int | None = None) -> Search:
+    """net's search for bound, made on first use and kept with net."""
+    bound = DEFAULT_STATE_BOUND if bound is None else bound
+    search = net._searches.get(bound)
+    if search is None:
+        search = net._searches[bound] = Search(net, bound)
+    return search
+
+
+def _pairs(flat: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The (rank, target position) pairs of a recorded step tuple."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 def explore(net: SystemNet, bound: int | None = None
@@ -464,16 +528,15 @@ def explore(net: SystemNet, bound: int | None = None
     list.  Raises StateBoundExceeded when more than `bound` states are
     reachable.
     """
-    search = Search(net, bound)
-    expanded = list(_complete(search))
+    search = search_of(net, bound)
+    search.complete()
     compiled = search.compiled
     kinds, local_labels = compiled.kinds, compiled.local_labels
-    state = {s: compiled.decode(s) for s in search.parent}
-    steps = {state[s]: [GlobalTransition(state[s], kinds[rank], state[t],
-                                         local_labels[rank])
-                        for rank, t in here]
-             for s, here in expanded}
-    return list(state.values()), steps
+    state = list(map(compiled.decode, search.states))
+    steps = {g: [GlobalTransition(g, kinds[rank], state[j], local_labels[rank])
+                 for rank, j in _pairs(flat)]
+             for g, flat in zip(state, search.steps)}
+    return state, steps
 
 
 def product(net: SystemNet, bound: int | None = None) -> Lts:
@@ -482,19 +545,19 @@ def product(net: SystemNet, bound: int | None = None) -> Lts:
     Raises SemanticsError when two reachable states get the same name,
     which local state names containing ``,`` or ``:`` can bring about.
     """
-    search = Search(net, bound)
-    expanded = list(_complete(search))
+    search = search_of(net, bound)
+    search.complete()
     compiled = search.compiled
-    name = {s: compiled.text(s) for s in search.parent}
-    if len(set(name.values())) < len(name):
-        shared = next(t for t, n in Counter(name.values()).items() if n > 1)
+    name = list(map(compiled.text, search.states))
+    if len(set(name)) < len(name):
+        shared = next(t for t, n in Counter(name).items() if n > 1)
         raise SemanticsError(f"two reachable states are both named {shared!r}")
     labels = [_label_of(kind, local_label) for kind, local_label
               in zip(compiled.kinds, compiled.local_labels)]
-    transitions = [Transition(source, labels[rank], name[t])
-                   for s, here in expanded for source in (name[s],)
-                   for rank, t in here]
-    return Lts(name.values(), name[compiled.initial], transitions)
+    transitions = [Transition(source, labels[rank], name[j])
+                   for source, flat in zip(name, search.steps)
+                   for rank, j in _pairs(flat)]
+    return Lts(name, name[0], transitions)
 
 
 def traces(net: SystemNet, k: int, bound: int | None = None

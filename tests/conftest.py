@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from hetcomp import semantics
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,3 +29,17 @@ def golden_dir() -> Path:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260816)
+
+
+@pytest.fixture
+def compiles(monkeypatch) -> list:
+    """The nets compiled for a search, one entry per compile."""
+    nets = []
+    original = semantics._Compiled.__init__
+
+    def counting(self, net):
+        nets.append(net)
+        original(self, net)
+
+    monkeypatch.setattr(semantics._Compiled, "__init__", counting)
+    return nets

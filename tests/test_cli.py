@@ -9,7 +9,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from hetcomp import emit_dot
 from hetcomp.cli import main
+from gen import philo_net
 
 CLI = [sys.executable, "-m", "hetcomp.cli"]
 
@@ -361,3 +363,50 @@ def test_philo_script_runs_with_closed_form_counts(tmp_path, capsys):
     # 3^3 - 1 states and 3(2*3^2 - 1) transitions
     assert sum(" -> " not in line for line in lines[1:-1]) == 26
     assert sum(" -> " in line for line in lines) == 51
+
+
+# ---- one net, and so one search, per value and declared modes ----
+
+def _philo_files(tmp_path, n=3):
+    net = philo_net(n)
+    for inst, proc in net.components:
+        write(tmp_path, f"{inst}.dot", emit_dot(proc))
+    return net.instance_names()
+
+
+def _loads(instances):
+    return "".join(f'{inst} = dot("{inst}.dot")\n' for inst in instances) \
+        + f"sys = compose({', '.join(instances)})\n"
+
+
+def test_checks_and_emit_of_one_net_compile_it_once(tmp_path, capsys,
+                                                     compiles):
+    body = _loads(_philo_files(tmp_path)) + (
+        'check(sys, "A[] not deadlock")\n'
+        'check(sys, "E<> P0.e and P1.e")\n'
+        'emit_dot(sys, "p.dot")\n')
+    script = write(tmp_path, "s.hcs", body)
+    assert main(["run", str(script), "--out-dir", str(tmp_path)]) == 1
+    assert len(compiles) == 1
+    out = capsys.readouterr().out
+    assert "check A[] not deadlock: false\n  witness (3 steps):" in out
+    assert "check E<> P0.e and P1.e: false" in out
+    lines = (tmp_path / "p.dot").read_text().splitlines()
+    assert sum(" -> " in line for line in lines) == 51
+
+
+def test_a_channel_declaration_between_checks_gives_a_new_net(
+        tmp_path, capsys, compiles):
+    loads = _loads(_philo_files(tmp_path))
+    query = 'check(sys, "A[] not deadlock")\n'
+    declare = "channel gl0 async 1\n"
+    outputs = {}
+    for name, body in (("both", loads + query + declare + query),
+                       ("sync", loads + query),
+                       ("async", declare + loads + query)):
+        main(["run", str(write(tmp_path, f"{name}.hcs", body))])
+        outputs[name] = capsys.readouterr().out
+    assert len(compiles) == 4
+    assert compiles[0] != compiles[1]
+    assert outputs["both"] == outputs["sync"] + outputs["async"]
+    assert outputs["sync"] != outputs["async"]

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -463,4 +464,53 @@ def test_pickled_label_rehashes_under_another_hash_seed():
     env["PYTHONHASHSEED"] = "2"
     loaded = subprocess.run([sys.executable, "-c", _LOAD_LABEL], env=env,
                             input=dumped, capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+
+
+# ---- Transition: a slotted frozen value ----
+
+def test_transition_is_slotted_frozen_and_keeps_its_value_contract():
+    label = Label.send("a", [("guard", "x>0")])
+    t = Transition("s", label, "t")
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.source = "u"
+    assert t.source == "s"
+    assert repr(t) == (
+        "Transition(source='s', label=Label(comm=ChannelAction(channel='a', "
+        "direction=<Direction.SEND: '!'>), facets=(('guard', 'x>0'),)), "
+        "target='t')")
+    assert t == Transition("s", parse_label("a!|guard:x>0"), "t")
+    assert t != Transition("s", label, "u")
+    assert hash(t) == hash(("s", label, "t"))
+    for copy_ in (copy.copy(t), copy.deepcopy(t), dataclasses.replace(t),
+                  pickle.loads(pickle.dumps(t))):
+        assert copy_ == t and hash(copy_) == hash(t)
+    assert dataclasses.replace(t, target="u") == Transition("s", label, "u")
+
+
+_PICKLE_TRANSITIONS = (
+    "import pickle, sys; from hetcomp import Label, Transition; "
+    "sys.stdout.write(pickle.dumps(frozenset({Transition('s', Label.send("
+    "'chan', [('guard', 'x>0')]), 't'), Transition('t', Label.internal("
+    "'tau'), 's')})).hex())")
+_LOAD_TRANSITIONS = (
+    "import pickle, sys; from hetcomp import Label, Transition; "
+    "loaded = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+    "fresh = Transition('s', Label.send('chan', [('guard', 'x>0')]), 't'); "
+    "assert fresh in loaded, 'not found'; "
+    "assert Transition('t', Label.internal('tau'), 's') in loaded; "
+    "assert hash(next(t for t in loaded if t.source == 's')) == hash(fresh)")
+
+
+def test_pickled_transitions_rehash_under_another_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "1"
+    dumped = subprocess.run([sys.executable, "-c", _PICKLE_TRANSITIONS],
+                            env=env, capture_output=True, text=True,
+                            check=True).stdout
+    env["PYTHONHASHSEED"] = "2"
+    loaded = subprocess.run([sys.executable, "-c", _LOAD_TRANSITIONS],
+                            env=env, input=dumped, capture_output=True,
+                            text=True)
     assert loaded.returncode == 0, loaded.stderr
