@@ -1,15 +1,17 @@
 """Exploration throughput on dining philosophers.
 
-For each n, times a full exploration twice: `check` of a reachability
-query that is false (P0 and P1 never eat together, so every state is
-visited) and `product`, then `emit_dot` of that product.  Prints
-reachable states and transitions per second for the two explorations
-and the milliseconds of `emit_dot`, each the median of the repeats, and
-the peak resident memory of the process so far (`resource.getrusage`;
-it only grows, so run one n per process to read one n's peak).  The
-nets come from `tests/gen.py`, so this measures whichever hetcomp is
-first on the path, e.g. another checkout's with
-PYTHONPATH=<checkout>/src.
+For each n, every repeat builds a fresh net, since a net keeps its
+search and a second `check` on it would only replay the record.  It
+times `check` of a reachability query that is false (P0 and P1 never
+eat together, so the search visits every state), then `product`, which
+builds the LTS from the states and steps that check recorded, then
+`emit_dot` of that product.  Prints reachable states and transitions
+per second for check and product and the milliseconds of `emit_dot`,
+each the median of the repeats, and the peak resident memory of the
+process so far (`resource.getrusage`; it only grows, so run one n per
+process to read one n's peak).  The nets come from `tests/gen.py`, so
+this measures whichever hetcomp is first on the path, e.g. another
+checkout's with PYTHONPATH=<checkout>/src.
 
 Usage: PYTHONPATH=src python3 scripts/philo_throughput.py [n ...] [--repeats R]
 """
@@ -33,12 +35,12 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     for n in args.n:
-        net = philo_net(n)
         states, transitions = 3 ** n - 1, n * (2 * 3 ** (n - 1) - 1)
         query = h.reach(("P0", "e"), ("P1", "e"))
         timings: dict[str, list[float]] = {"check": [], "product": [],
                                            "emit_dot": []}
         for _ in range(args.repeats):
+            net = philo_net(n)
             t = time.perf_counter()
             assert h.check(net, query).outcome == "false"
             timings["check"].append(time.perf_counter() - t)

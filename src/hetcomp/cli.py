@@ -32,8 +32,8 @@ from .algebra import (ChannelMode, Process, SystemNet, compose, extract_chan,
 from .dotio import document_to_lts, parse_dot_document
 from .errors import HetcompError, ScriptError
 from .lts import channels_of, filter_facet, is_token
-from .scriptlang import (Binding, Call, ChannelDecl, Command, Expr,
-                         ScriptProgram, Var, parse_script)
+from .scriptlang import (MODELS, Binding, Call, ChannelDecl, Expr,
+                         ScriptProgram, Str, Var, arg_kinds, parse_script)
 from .semantics import product
 
 
@@ -72,7 +72,12 @@ def _write_output(text: str, filename: str, out_dir: str | None) -> None:
 
 
 class Interpreter:
-    """Executes a parsed script statement by statement."""
+    """Executes a parsed script statement by statement.
+
+    A call's operands follow the parser's table (`operands`); its
+    operation is the method of its name, or else the function of its
+    name in this module, looked up when the call runs.
+    """
 
     def __init__(self, script_path: Path, options: RunOptions):
         self.script_path = script_path
@@ -87,8 +92,6 @@ class Interpreter:
         for stmt in program.statements:
             try:
                 self._exec(stmt)
-            except ScriptError:
-                raise
             except (HetcompError, OSError) as e:
                 raise ScriptError(str(e), line=stmt.line,
                                   source=str(self.script_path)) from e
@@ -100,44 +103,74 @@ class Interpreter:
             return 3
         return 0
 
-    # ---- statement dispatch ----
+    # ---- statements and expressions ----
 
     def _exec(self, stmt) -> None:
         if isinstance(stmt, ChannelDecl):
-            if stmt.kind == "sync":
-                self.modes[stmt.channel] = ChannelMode("sync")
-            else:
-                self.modes[stmt.channel] = ChannelMode("async", stmt.capacity)
+            self.modes[stmt.channel] = ChannelMode(stmt.kind, stmt.capacity)
         elif isinstance(stmt, Binding):
             value = self._eval(stmt.expr)
             if isinstance(value, Process):
                 value = Process(stmt.name, value.body, value.interface)
             self.env[stmt.name] = value
-        else:
-            assert isinstance(stmt, Command)
-            self._command(stmt.call)
+        elif not (self.options.skip_emit
+                  and stmt.call.func.startswith("emit_")):
+            self._eval(stmt.call)  # a bare filter's result is discarded
 
-    def _command(self, call: Call) -> None:
-        if call.func == "chans":
-            value = self._eval(call.args[0])
-            if isinstance(value, Process):
-                chans = extract_chan(value)
+    def _eval(self, expr: Expr):
+        if isinstance(expr, Var):
+            try:
+                return self.env[expr.name]
+            except KeyError:
+                raise ScriptError(f"name {expr.name!r} is not bound") from None
+        op = getattr(self, expr.func, None) or globals()[expr.func]
+        return op(*self.operands(expr))
+
+    def operands(self, call: Call) -> list:
+        """call's arguments as its operation takes them: model arguments
+        evaluated and checked against their operand type, names and
+        strings as text."""
+        out = []
+        for kind, arg in zip(arg_kinds(call), call.args):
+            if isinstance(arg, Str):
+                out.append(arg.value)
+            elif kind not in MODELS:
+                out.append(arg.name)
             else:
-                chans = sorted({c for _, p in value.components
-                                for c in channels_of(p.body)})
-            print(" ".join(chans))
-        elif call.func == "check":
-            self._check(call)
-        elif call.func in ("emit_uppaal", "emit_dot", "emit_lotos"):
-            if not self.options.skip_emit:
-                self._emit(call)
-        else:
-            assert call.func == "filter"
-            self._eval(call)  # bare filter: evaluated, result discarded
+                value = self._eval(arg)
+                if kind == "process" and not isinstance(value, Process):
+                    raise ScriptError(f"{call.func} expects a process here, "
+                                      "got a net")
+                if kind == "net" and isinstance(value, Process):
+                    raise ScriptError(f"{call.func} expects a composed net "
+                                      "here, got a process")
+                out.append(value)
+        return out
 
-    def _check(self, call: Call) -> None:
-        net = self._moded_net(self._eval(call.args[0]))
-        qtext = call.args[1].value
+    # ---- operations that are not algebra functions ----
+
+    def dot(self, path: str) -> Process:
+        return load_process(self.script_path.parent / path)
+
+    def filter(self, value: Process | SystemNet, *facets: str):
+        def keep(p: Process) -> Process:
+            return Process(p.name, filter_facet(p.body, set(facets)),
+                           p.interface)
+        if isinstance(value, Process):
+            return keep(value)
+        return SystemNet(tuple((n, keep(p)) for n, p in value.components),
+                         value.channel_modes)
+
+    def chans(self, value: Process | SystemNet) -> None:
+        if isinstance(value, Process):
+            chans = extract_chan(value)
+        else:
+            chans = sorted({c for _, p in value.components
+                            for c in channels_of(p.body)})
+        print(" ".join(chans))
+
+    def check(self, value: Process | SystemNet, qtext: str) -> None:
+        net = self._moded_net(value)
         query = checker.parse_query(qtext)
         verdict = checker.check(net, query, self.options.bound)
         self.outcomes.append(verdict.outcome)
@@ -155,79 +188,18 @@ class Interpreter:
             if len(shown) < len(steps):
                 print(f"    ... ({len(shown)} of {len(steps)} steps shown)")
 
-    def _emit(self, call: Call) -> None:
-        value = self._eval(call.args[0])
-        if call.func == "emit_uppaal":
-            text = emitters.emit_uppaal(self._moded_net(value))
-        elif call.func == "emit_lotos":
-            if not isinstance(value, Process):
-                raise ScriptError("emit_lotos expects a process",
-                                  line=call.line, source=str(self.script_path))
-            text = emitters.emit_lotos(value)
-        else:
-            if isinstance(value, Process):
-                text = emitters.emit_dot(value)
-            else:
-                net = self._moded_net(value)
-                text = emitters.emit_dot(product(net, self.options.bound))
-        _write_output(text, call.args[1].value, self.options.out_dir)
+    def emit_uppaal(self, value: Process | SystemNet, filename: str) -> None:
+        _write_output(emitters.emit_uppaal(self._moded_net(value)), filename,
+                      self.options.out_dir)
 
-    # ---- expressions ----
-
-    def _eval(self, expr: Expr) -> Process | SystemNet:
-        if isinstance(expr, Var):
-            try:
-                return self.env[expr.name]
-            except KeyError:
-                raise ScriptError(f"name {expr.name!r} is not bound",
-                                  line=expr.line,
-                                  source=str(self.script_path)) from None
-        assert isinstance(expr, Call), "strings never reach _eval"
-        f = expr.func
-        if f == "dot":
-            rel = Path(expr.args[0].value)
-            path = rel if rel.is_absolute() else self.script_path.parent / rel
-            return load_process(path)
-        if f == "compose":
-            return compose(*(self._eval(a) for a in expr.args))
-        if f == "rename":
-            return rename(self._expect_process(expr.args[0], "rename"),
-                          expr.args[1].name, expr.args[2].name)
-        if f == "replace":
-            return replace(self._expect_net(expr.args[0], "replace"),
-                           expr.args[1].name,
-                           self._expect_process(expr.args[2], "replace"))
-        if f == "remove":
-            return remove(self._expect_net(expr.args[0], "remove"),
-                          expr.args[1].name)
-        if f == "select":
-            return select(self._expect_net(expr.args[0], "select"),
-                          expr.args[1].name)
-        assert f == "filter"
-        keep = {a.name for a in expr.args[1:]}
-        value = self._eval(expr.args[0])
-        if isinstance(value, Process):
-            return Process(value.name, filter_facet(value.body, keep),
-                           value.interface)
-        return SystemNet(
-            tuple((n, Process(p.name, filter_facet(p.body, keep), p.interface))
-                  for n, p in value.components),
-            value.channel_modes)
-
-    def _expect_process(self, expr: Expr, op: str) -> Process:
-        value = self._eval(expr)
+    def emit_dot(self, value: Process | SystemNet, filename: str) -> None:
         if not isinstance(value, Process):
-            raise ScriptError(f"{op} expects a process here, got a net",
-                              line=expr.line, source=str(self.script_path))
-        return value
+            value = product(self._moded_net(value), self.options.bound)
+        _write_output(emitters.emit_dot(value), filename, self.options.out_dir)
 
-    def _expect_net(self, expr: Expr, op: str) -> SystemNet:
-        value = self._eval(expr)
-        if isinstance(value, Process):
-            raise ScriptError(f"{op} expects a composed net here, got a "
-                              "process", line=expr.line,
-                              source=str(self.script_path))
-        return value
+    def emit_lotos(self, value: Process, filename: str) -> None:
+        _write_output(emitters.emit_lotos(value), filename,
+                      self.options.out_dir)
 
     def _moded_net(self, value: Process | SystemNet) -> SystemNet:
         """value as a net under the modes declared so far.

@@ -103,7 +103,7 @@ def emit_uppaal(net: SystemNet) -> str:
                              f"{_escape(s)}</name>")
             lines.append("    </location>")
         lines.append(f'    <init ref="{ids[proc.body.initial]}"/>')
-        for t in proc.body.sorted_transitions():
+        for t in proc.body._sorted:
             x, y = pos[t.source]
             lines.append("    <transition>")
             lines.append(f'      <source ref="{ids[t.source]}"/>')
@@ -152,7 +152,7 @@ def emit_dot(x: Process | Lts) -> str:
         attrs = " [init=true]" if s == lts.initial else ""
         lines.append(f"  {quoted[s]}{attrs};")
     attrs = _Rendered(_dot_attrs)
-    for t in lts.sorted_transitions():
+    for t in lts._sorted:
         lines.append(f"  {quoted[t.source]} -> {quoted[t.target]} "
                      f"[{attrs[t.label]}];")
     lines.append("}\n")

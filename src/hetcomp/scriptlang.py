@@ -1,4 +1,4 @@
-"""Parser for the composition script language.
+r"""Parser for the composition script language.
 
 One statement per line, `#` starts a comment.  Statement forms:
 
@@ -21,19 +21,40 @@ Calls nest: compose(compose(a, b), c) is the same as compose(a, b, c).
 Parsing performs the static checks: unknown operation names, wrong
 argument shapes, and use of a name before it is bound are all rejected
 with the offending line number.
+
+Each line is read in one pass.  One `findall` of `_TOKEN_RE` splits it
+into names, numbers, strings and `=(),`; blanks are space, tab and CR,
+and `#` ends the line.  Strings escape `\"` and `\\`; any other
+backslash stands for itself, as in DOT.  `_SHAPES` gives the kind of
+every argument, for the parser's checks and, through `arg_kinds`, for
+the interpreter, which evaluates every model argument and checks those
+that must be a `process` or a `net`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from string import ascii_letters, digits
 from typing import Union
 
+from .dotio import _QUOTED, _UNESCAPE_RE
 from .errors import ParseError
 from .lts import FACET_NAMES
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+")
+#: One token after any blanks: a string, its body in group 1, or else
+#: in group 2 a name, a number, punctuation, a comment or any other
+#: character but a blank, an error; the quote of an unterminated string
+#: is such a character.  Only blanks are left at the end of a line.
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:" + _QUOTED + r"|([A-Za-z_][A-Za-z0-9_]*"
+                       r"|[0-9]+|[=(),]|#.*|[^ \t\r]))", re.S)
+#: a token's kind by the first character of group 2 ("" for a string):
+#: a comment ends the line, and a character missing here is an error
+_KINDS = {"": "string", "#": "end", **{c: c for c in "=(),"},
+          **dict.fromkeys(ascii_letters + "_", "ident"),
+          **dict.fromkeys(digits, "number")}
+#: the token that closes every line
+_END = ("end", "")
 
 
 @dataclass(frozen=True)
@@ -87,21 +108,26 @@ class ScriptProgram:
     statements: tuple[Statement, ...]
 
 
-#: argument shapes; a trailing '*' kind absorbs any number of arguments
+#: the kind of every argument: a model (any `value`, or a `process` or
+#: a `net` operand), a plain `name`, a `facet` name or a `string`; a
+#: trailing '*' kind absorbs any number of arguments
 _SHAPES: dict[str, tuple[str, ...]] = {
     "dot": ("string",),
-    "compose": ("expr", "expr*"),
-    "rename": ("expr", "token", "token"),
-    "replace": ("expr", "token", "expr"),
-    "remove": ("expr", "token"),
-    "select": ("expr", "token"),
-    "filter": ("expr", "facet*"),
-    "chans": ("expr",),
-    "check": ("expr", "string"),
-    "emit_uppaal": ("expr", "string"),
-    "emit_dot": ("expr", "string"),
-    "emit_lotos": ("expr", "string"),
+    "compose": ("value", "value*"),
+    "rename": ("process", "name", "name"),
+    "replace": ("net", "name", "process"),
+    "remove": ("net", "name"),
+    "select": ("net", "name"),
+    "filter": ("value", "facet*"),
+    "chans": ("value",),
+    "check": ("value", "string"),
+    "emit_uppaal": ("value", "string"),
+    "emit_dot": ("value", "string"),
+    "emit_lotos": ("process", "string"),
 }
+
+#: the kinds of argument that are model expressions
+MODELS = frozenset(["value", "process", "net"])
 
 #: calls that produce a value and therefore may appear in expressions
 PRODUCING = frozenset(
@@ -112,48 +138,30 @@ COMMANDS = frozenset(
     ["chans", "check", "emit_uppaal", "emit_dot", "emit_lotos", "filter"])
 
 
+def arg_kinds(call: Call) -> tuple[str, ...]:
+    """The kind of each of call's arguments, read off its shape."""
+    shape = _SHAPES[call.func]
+    if not shape[-1].endswith("*"):
+        return shape
+    return shape[:-1] + (shape[-1][:-1],) * (len(call.args) - len(shape) + 1)
+
+
 def _lex_line(text: str, line: int, source: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-        elif c == "#":
-            break
-        elif c == '"':
-            j = i + 1
-            out = []
-            while j < n:
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in '"\\':
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == '"':
-                    break
-                else:
-                    out.append(text[j])
-                    j += 1
-            else:
-                raise ParseError("unterminated string", line=line,
-                                 col=i + 1, source=source)
-            tokens.append(("string", "".join(out)))
-            i = j + 1
-        elif c in "=(),":
-            tokens.append((c, c))
-            i += 1
-        else:
-            m = _IDENT_RE.match(text, i)
-            if m:
-                tokens.append(("ident", m.group()))
-                i = m.end()
-                continue
-            m = _NUMBER_RE.match(text, i)
-            if m:
-                tokens.append(("number", m.group()))
-                i = m.end()
-                continue
-            raise ParseError(f"unexpected character {c!r}", line=line,
-                             col=i + 1, source=source)
+    """The (kind, text) tokens of one line, closed by `_END`."""
+    try:
+        # re.sub on every string body made lexing a third slower
+        tokens = [(_KINDS[other[:1]], other or (
+            _UNESCAPE_RE.sub(r"\1", body) if "\\" in body else body))
+                  for body, other in _TOKEN_RE.findall(text)]
+    except KeyError:    # an error: report the first one, where it is
+        for m in _TOKEN_RE.finditer(text):
+            bad = m[2]
+            if bad is not None and bad[:1] not in _KINDS:
+                raise ParseError("unterminated string" if bad == '"'
+                                 else f"unexpected character {bad!r}",
+                                 line=line, col=m.start(2) + 1,
+                                 source=source) from None
+    tokens.append(_END)
     return tokens
 
 
@@ -167,99 +175,75 @@ class _LineParser:
     def error(self, message: str) -> ParseError:
         return ParseError(message, line=self.line, source=self.source)
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self, kind: str | None = None) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
             raise self.error("unexpected end of line")
         if kind is not None and tok[0] != kind:
             raise self.error(f"expected {kind}, found {tok[1]!r}")
         self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def expr(self) -> Expr:
-        tok = self.take()
-        if tok[0] == "string":
-            return Str(tok[1], self.line)
-        if tok[0] != "ident":
-            raise self.error(f"expected an expression, found {tok[1]!r}")
-        nxt = self.peek()
-        if nxt is None or nxt[0] != "(":
-            return Var(tok[1], self.line)
-        self.take("(")
+        kind, text = self.take()
+        if kind == "string":
+            return Str(text, self.line)
+        if kind != "ident":
+            raise self.error(f"expected an expression, found {text!r}")
+        if self.tokens[self.pos][0] != "(":
+            return Var(text, self.line)
+        self.pos += 1
         args: list[Expr] = []
-        if self.peek() is not None and self.peek()[0] != ")":
+        if self.tokens[self.pos][0] != ")":
             args.append(self.expr())
-            while self.peek() is not None and self.peek()[0] == ",":
-                self.take(",")
+            while self.tokens[self.pos][0] == ",":
+                self.pos += 1
                 args.append(self.expr())
         self.take(")")
-        return Call(tok[1], tuple(args), self.line)
+        return Call(text, tuple(args), self.line)
 
 
-def _check_call(call: Call, source: str) -> None:
+def _check_call(call: Call, source: str, values: list[Var]) -> None:
+    """Check call against its shape; add the Vars that stand for bound
+    values (not channel, instance or facet names) to values."""
     shape = _SHAPES.get(call.func)
     if shape is None:
         raise ParseError(f"unknown operation {call.func!r}",
                          line=call.line, source=source)
-    fixed = [k for k in shape if not k.endswith("*")]
-    variadic = next((k[:-1] for k in shape if k.endswith("*")), None)
-    if len(call.args) < len(fixed) or (variadic is None
-                                       and len(call.args) > len(fixed)):
-        want = f"at least {len(fixed)}" if variadic else str(len(fixed))
+    variadic = shape[-1].endswith("*")
+    fixed = len(shape) - variadic
+    if len(call.args) < fixed or (not variadic and len(call.args) > fixed):
+        want = f"at least {fixed}" if variadic else str(fixed)
         raise ParseError(f"{call.func} takes {want} argument(s), "
                          f"got {len(call.args)}", line=call.line, source=source)
-    for i, arg in enumerate(call.args):
-        kind = fixed[i] if i < len(fixed) else variadic
-        if kind == "expr":
+    for i, (kind, arg) in enumerate(zip(arg_kinds(call), call.args), 1):
+        if kind in MODELS:
             if isinstance(arg, Str):
                 raise ParseError(
-                    f"argument {i + 1} of {call.func} must be a model "
+                    f"argument {i} of {call.func} must be a model "
                     "expression, not a string", line=call.line, source=source)
-            if isinstance(arg, Call):
+            if isinstance(arg, Var):
+                values.append(arg)
+            else:
                 if arg.func not in PRODUCING:
                     raise ParseError(f"{arg.func} produces no value and "
                                      "cannot be nested", line=arg.line,
                                      source=source)
-                _check_call(arg, source)
-        elif kind == "token":
+                _check_call(arg, source, values)
+        elif kind == "name":
             if not isinstance(arg, Var):
                 raise ParseError(
-                    f"argument {i + 1} of {call.func} must be a plain name",
+                    f"argument {i} of {call.func} must be a plain name",
                     line=call.line, source=source)
         elif kind == "facet":
             if not isinstance(arg, Var) or arg.name not in FACET_NAMES:
                 raise ParseError(
-                    f"argument {i + 1} of {call.func} must be a facet name "
+                    f"argument {i} of {call.func} must be a facet name "
                     f"({', '.join(FACET_NAMES)})", line=call.line,
                     source=source)
-        elif kind == "string":
-            if not isinstance(arg, Str):
-                raise ParseError(
-                    f"argument {i + 1} of {call.func} must be a string",
-                    line=call.line, source=source)
-
-
-def _value_vars(call: Call) -> list[Var]:
-    """Vars standing for bound values (not channel/instance tokens)."""
-    shape = _SHAPES[call.func]
-    fixed = [k for k in shape if not k.endswith("*")]
-    variadic = next((k[:-1] for k in shape if k.endswith("*")), None)
-    out: list[Var] = []
-    for i, arg in enumerate(call.args):
-        kind = fixed[i] if i < len(fixed) else variadic
-        if kind != "expr":
-            continue
-        if isinstance(arg, Var):
-            out.append(arg)
-        elif isinstance(arg, Call):
-            out.extend(_value_vars(arg))
-    return out
+        elif not isinstance(arg, Str):
+            raise ParseError(f"argument {i} of {call.func} must be a string",
+                             line=call.line, source=source)
 
 
 def parse_script(text: str, source: str = "<script>") -> ScriptProgram:
@@ -267,27 +251,24 @@ def parse_script(text: str, source: str = "<script>") -> ScriptProgram:
     bound: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _lex_line(raw, lineno, source)
-        if not tokens:
+        if tokens[0][0] == "end":
             continue
         lp = _LineParser(tokens, lineno, source)
+        values: list[Var] = []
 
-        if (tokens[0] == ("ident", "channel") and len(tokens) >= 2
-                and tokens[1][0] == "ident"):
+        if tokens[0] == ("ident", "channel") and tokens[1][0] == "ident":
             lp.take()
             chan = lp.take("ident")[1]
             kind = lp.take("ident")[1]
-            if kind == "sync":
-                stmt: Statement = ChannelDecl(chan, "sync", None, lineno)
-            elif kind == "async":
-                cap = int(lp.take("number")[1])
-                if cap < 1:
-                    raise ParseError("async capacity must be >= 1",
-                                     line=lineno, source=source)
-                stmt = ChannelDecl(chan, "async", cap, lineno)
-            else:
+            if kind not in ("sync", "async"):
                 raise ParseError(f"channel mode must be sync or async, "
                                  f"found {kind!r}", line=lineno, source=source)
-        elif len(tokens) >= 2 and tokens[0][0] == "ident" and tokens[1][0] == "=":
+            cap = int(lp.take("number")[1]) if kind == "async" else None
+            if kind == "async" and cap < 1:
+                raise ParseError("async capacity must be >= 1",
+                                 line=lineno, source=source)
+            stmt: Statement = ChannelDecl(chan, kind, cap, lineno)
+        elif tokens[0][0] == "ident" and tokens[1][0] == "=":
             name = lp.take("ident")[1]
             lp.take("=")
             expr = lp.expr()
@@ -295,7 +276,7 @@ def parse_script(text: str, source: str = "<script>") -> ScriptProgram:
                 raise ParseError(
                     "the right-hand side of a binding must be one of: "
                     + ", ".join(sorted(PRODUCING)), line=lineno, source=source)
-            _check_call(expr, source)
+            _check_call(expr, source, values)
             stmt = Binding(name, expr, lineno)
         else:
             expr = lp.expr()
@@ -309,23 +290,17 @@ def parse_script(text: str, source: str = "<script>") -> ScriptProgram:
                                      source=source)
                 raise ParseError(f"unknown operation {expr.func!r}",
                                  line=lineno, source=source)
-            _check_call(expr, source)
+            _check_call(expr, source, values)
             stmt = Command(expr, lineno)
 
-        if not lp.at_end():
+        if tokens[lp.pos][0] != "end":
             raise ParseError(f"trailing input after statement: "
-                             f"{lp.peek()[1]!r}", line=lineno, source=source)
-
-        call = None
-        if isinstance(stmt, Binding):
-            call = stmt.expr
-        elif isinstance(stmt, Command):
-            call = stmt.call
-        if call is not None:
-            for var in _value_vars(call):
-                if var.name not in bound:
-                    raise ParseError(f"name {var.name!r} is used before it "
-                                     "is bound", line=var.line, source=source)
+                             f"{tokens[lp.pos][1]!r}", line=lineno,
+                             source=source)
+        for var in values:
+            if var.name not in bound:
+                raise ParseError(f"name {var.name!r} is used before it "
+                                 "is bound", line=var.line, source=source)
         if isinstance(stmt, Binding):
             bound.add(stmt.name)
         statements.append(stmt)

@@ -520,6 +520,12 @@ def _pairs(flat: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     return zip(it, it)
 
 
+def _labels(compiled: _Compiled) -> list[Label]:
+    """The product-level label of each step kind, by rank."""
+    return [_label_of(kind, local_label) for kind, local_label
+            in zip(compiled.kinds, compiled.local_labels)]
+
+
 def explore(net: SystemNet, bound: int | None = None
             ) -> tuple[list[GlobalState], dict[GlobalState, list[GlobalTransition]]]:
     """BFS over reachable global states.
@@ -552,8 +558,7 @@ def product(net: SystemNet, bound: int | None = None) -> Lts:
     if len(set(name)) < len(name):
         shared = next(t for t, n in Counter(name).items() if n > 1)
         raise SemanticsError(f"two reachable states are both named {shared!r}")
-    labels = [_label_of(kind, local_label) for kind, local_label
-              in zip(compiled.kinds, compiled.local_labels)]
+    labels = _labels(compiled)
     transitions = [Transition(source, labels[rank], name[j])
                    for source, flat in zip(name, search.steps)
                    for rank, j in _pairs(flat)]
@@ -563,12 +568,15 @@ def product(net: SystemNet, bound: int | None = None) -> Lts:
 def traces(net: SystemNet, k: int, bound: int | None = None
            ) -> set[tuple[str, ...]]:
     """All label-text sequences of length <= k, as a set."""
-    states, steps = explore(net, bound)
-    layer = {((), states[0])}
+    search = search_of(net, bound)
+    search.complete()
+    text = [label.text for label in _labels(search.compiled)]
+    steps = search.steps
+    layer = {((), 0)}
     out: set[tuple[str, ...]] = {()}
     for _ in range(k):
-        layer = {(prefix + (t.label.text,), t.target)
-                 for prefix, g in layer for t in steps[g]}
+        layer = {(prefix + (text[rank],), j)
+                 for prefix, at in layer for rank, j in _pairs(steps[at])}
         if not layer:
             break
         out.update(prefix for prefix, _ in layer)

@@ -145,6 +145,29 @@ def test_model_error_reports_script_line(tmp_path):
     assert "error:" in r.stderr and "bad.dot" in r.stderr
 
 
+@pytest.mark.parametrize("stmt, message", [
+    ("r = rename(s, c, d)", "rename expects a process here, got a net"),
+    ("r = rename(compose(a, b), c, d)",
+     "rename expects a process here, got a net"),
+    ("r = replace(a, a, b)",
+     "replace expects a composed net here, got a process"),
+    ("r = replace(s, a, s)", "replace expects a process here, got a net"),
+    ("r = remove(a, a)", "remove expects a composed net here, got a process"),
+    ("r = select(b, b)", "select expects a composed net here, got a process"),
+    ('emit_lotos(s, "s.lotos")',
+     "emit_lotos expects a process here, got a net"),
+])
+def test_operand_type_errors_exit_two_and_name_the_line(tmp_path, capsys,
+                                                        stmt, message):
+    write(tmp_path, "a.dot", A_DOT)
+    write(tmp_path, "b.dot", B_DOT)
+    script = write(tmp_path, "s.hcs", 'a = dot("a.dot")\nb = dot("b.dot")\n'
+                                      f"s = compose(a, b)\n{stmt}\n")
+    assert main(["run", str(script), "--out-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {script}:4: {message}\n"
+
+
 def test_dot_paths_resolve_relative_to_script(tmp_path):
     sub = tmp_path / "models"
     sub.mkdir()
