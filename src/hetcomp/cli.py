@@ -3,7 +3,8 @@
 Subcommands:
 
     hetcomp run <script>      execute a composition script
-    hetcomp check <script>    same, but emit statements are skipped
+    hetcomp check <script>    same, but emit statements only check
+                              their operands and write nothing
     hetcomp convert <in.dot> --to uppaal|lotos|dot
 
 Exit codes: 0 when every executed check holds, 1 when some check is
@@ -113,8 +114,9 @@ class Interpreter:
             if isinstance(value, Process):
                 value = Process(stmt.name, value.body, value.interface)
             self.env[stmt.name] = value
-        elif not (self.options.skip_emit
-                  and stmt.call.func.startswith("emit_")):
+        elif self.options.skip_emit and stmt.call.func.startswith("emit_"):
+            self.operands(stmt.call)  # checked, but nothing is rendered
+        else:
             self._eval(stmt.call)  # a bare filter's result is discarded
 
     def _eval(self, expr: Expr):

@@ -11,21 +11,30 @@ colour markup is stripped before the label grammar applies.
 The initial state is the node marked ``init=true`` when present, and
 the source of the first edge statement otherwise.
 
-The scanner matches compiled patterns at a cursor and turns offsets
-into line:col by bisecting a table of newline offsets built once, so
-parsing stays linear in the size of the text.  Whitespace and comments
-are skipped once per token: the cursor always rests after them, right
-after the scanner is made and after every token it consumes, so looking
-at the next token never skips again.  An unterminated ``/*`` stops the
-cursor in front of it, where no symbol, name or value matches, so the
-parser fails at that offset; an error raised at the cursor there names
-the unterminated comment.
+The text is read as one stream of tokens.  `_TOKEN_RE`, walked with
+`finditer`, matches the whitespace and comments in front of a token
+(group 1), then the token, whose kind is the outer group that matched,
+so ``m.lastindex`` names it: a bare name ``[A-Za-z0-9_.]+``, ``->``,
+one of ``[ ] { } ; ,``, ``=`` with its value, a quoted name, any other
+single character, or the end of the text.  Only a value can follow
+``=``, so ``=`` and its value are one token: whitespace and comments,
+then a quoted string, a bare run ``[A-Za-z0-9_.+\\-!?]+`` or a ``{``.
+Values allow ``+-!?`` and names do not, so ``=a->b`` gives the value
+``a-`` while ``a->b`` gives two names.  A ``{`` value is scanned by
+depth, and the token stream restarts after its closing brace, so the
+parse stays linear in the size of the text.
+
+A token the grammar does not allow is an error at its start, after the
+whitespace and comments.  Where a name or a value is wanted, a ``"``
+there opens a string that never ends; and since the skip stops in
+front of a ``/*`` that never ends, an error at one names that comment.
+Lines are counted as the statements go by, and from the start of the
+text only for an error.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import HetcompError, ParseError
@@ -33,13 +42,23 @@ from .lts import Label, Lts, Transition, parse_label
 
 #: Whitespace and comments, as many as follow one another; an
 #: unterminated ``/*`` stops the match in front of it.
-_SKIP_RE = re.compile(r"(?:\s+|(?://|#)[^\n]*\n?|/\*.*?\*/)*", re.S)
+_SKIP = r"(?:\s+|(?://|#)[^\n]*\n?|/\*.*?\*/)*"
 #: A quoted string, body in group 1; ``\"`` and ``\\`` are the escapes,
 #: any other backslash stands for itself.
 _QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _UNESCAPE_RE = re.compile(r'\\(["\\])')
-_NAME_RE = re.compile(_QUOTED + r"|[A-Za-z0-9_.]+", re.S)
-_VALUE_RE = re.compile(_QUOTED + r"|[A-Za-z0-9_.+\-!?]+", re.S)
+#: What to skip, in group 1, then one token; the outer group that
+#: matched is its kind.  When no value follows ``=``, the ``eq`` token
+#: ends where the value was wanted.
+_TOKEN_RE = re.compile(
+    rf"({_SKIP})(?:(?P<name>[A-Za-z0-9_.]+)|(?P<arrow>->)"
+    r"|(?P<symbol>[\[\]{};,])"
+    rf"|(?P<eq>={_SKIP}(?P<value>{_QUOTED}|[A-Za-z0-9_.+\-!?]+|\{{)?)"
+    rf"|(?P<quoted>{_QUOTED})|(?P<other>.)|(?P<end>)\Z)", re.S)
+_NAME, _ARROW, _SYMBOL, _EQ, _VALUE, _QUOTE, _END = map(
+    _TOKEN_RE.groupindex.get,
+    ("name", "arrow", "symbol", "eq", "value", "quoted", "end"))
+_BRACE_RE = re.compile("[{}]")
 
 
 @dataclass
@@ -68,133 +87,111 @@ class DotDocument:
     edges: list[DotEdge] = field(default_factory=list)
 
 
-class _Scanner:
-    """A cursor over the text; tokens are patterns matched at the cursor.
-
-    The cursor always rests after whitespace and comments; ``end`` is
-    the offset just past the last token consumed.
-    """
-
-    def __init__(self, text: str, source: str):
-        self.text = text
-        self.source = source
-        self.newlines = [m.start() for m in re.finditer("\n", text)]
-        self.end = 0
-        self.skip(0)
-
-    def line_col(self, pos: int | None = None) -> tuple[int, int]:
-        p = self.pos if pos is None else pos
-        i = bisect_left(self.newlines, p)
-        return i + 1, p - (self.newlines[i - 1] if i else -1)
-
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        if pos is None and self.text.startswith("/*", self.pos):
-            message = "unterminated /* comment"
-        line, col = self.line_col(pos)
-        return ParseError(message, line=line, col=col, source=self.source)
-
-    def skip(self, pos: int) -> None:
-        """Consume the text up to pos, then whitespace and comments."""
-        self.end = pos
-        self.pos = _SKIP_RE.match(self.text, pos).end()
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def try_symbol(self, sym: str) -> bool:
-        if self.text.startswith(sym, self.pos):
-            self.skip(self.pos + len(sym))
-            return True
-        return False
-
-    def expect_symbol(self, sym: str) -> None:
-        if not self.try_symbol(sym):
-            raise self.error(f"expected {sym!r}")
-
-    def peek_symbol(self, sym: str) -> bool:
-        return self.text.startswith(sym, self.pos)
-
-    def _token(self, pattern: re.Pattern[str], what: str) -> str:
-        """A quoted string (unescaped) or a bare run matched by pattern."""
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            if self.text.startswith('"', self.pos):
-                raise self.error("unterminated string")
-            raise self.error(f"expected {what}")
-        self.skip(m.end())
-        quoted = m.group(1)
-        return m.group() if quoted is None else _UNESCAPE_RE.sub(r"\1", quoted)
-
-    def name(self, what: str) -> str:
-        return self._token(_NAME_RE, what)
-
-    def value(self) -> str:
-        """An attribute value: bare token, quoted string, or {...} group."""
-        if self.text.startswith("{", self.pos):
-            return self._scan_braces()
-        return self._token(_VALUE_RE, "an attribute value")
-
-    def _scan_braces(self) -> str:
-        start = pos = self.pos
-        depth = 0
-        t, n = self.text, len(self.text)
-        while pos < n:
-            c = t[pos]
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    self.skip(pos + 1)
-                    return t[start:pos + 1]
-            pos += 1
-        raise self.error("unterminated { group", start)
+def _error(text: str, source: str, pos: int, message: str,
+           at_token: bool = True) -> ParseError:
+    """A ParseError at pos; at a token, one that names an open comment."""
+    if at_token and text.startswith("/*", pos):
+        message = "unterminated /* comment"
+    return ParseError(message, line=text.count("\n", 0, pos) + 1,
+                      col=pos - text.rfind("\n", 0, pos), source=source)
 
 
-def _parse_attr_list(sc: _Scanner) -> dict[str, str]:
-    attrs: dict[str, str] = {}
-    while sc.try_symbol("["):
-        while not sc.try_symbol("]"):
-            key = sc.name("an attribute name")
-            sc.expect_symbol("=")
-            attrs[key] = sc.value()
-            while sc.try_symbol(",") or sc.try_symbol(";"):
-                pass
-    return attrs
+def _expected(text: str, source: str, pos: int, what: str) -> ParseError:
+    """The error where a name or a value, called what, was wanted."""
+    if text.startswith('"', pos):
+        return _error(text, source, pos, "unterminated string")
+    return _error(text, source, pos, f"expected {what}")
+
+
+def _unquote(body: str) -> str:
+    return _UNESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+
+
+def _name(m: re.Match[str], text: str, source: str, what: str) -> str:
+    """The name token m holds, unquoted; an error if it holds none."""
+    kind = m.lastindex
+    if kind == _NAME:
+        return m[_NAME]
+    if kind == _QUOTE:
+        return _unquote(m[_QUOTE + 1])
+    raise _expected(text, source, m.end(1), what)
 
 
 def parse_dot_document(text: str, source: str = "<dot>") -> DotDocument:
-    sc = _Scanner(text, source)
-    if sc.name("'digraph'") != "digraph":
-        raise sc.error("expected 'digraph'", sc.end)
-    if sc.peek_symbol("{"):
-        graph_name = ""
-    else:
-        graph_name = sc.name("a graph name")
-    sc.expect_symbol("{")
+    tokens = _TOKEN_RE.finditer(text)
+    m = next(tokens)
+    if _name(m, text, source, "'digraph'") != "digraph":
+        raise _error(text, source, m.end(), "expected 'digraph'", False)
+    m = next(tokens)
+    graph_name = ""
+    if m[_SYMBOL] != "{":
+        graph_name = _name(m, text, source, "a graph name")
+        m = next(tokens)
+        if m[_SYMBOL] != "{":
+            raise _error(text, source, m.end(1), "expected '{'")
     doc = DotDocument(graph_name)
-    while True:
-        if sc.try_symbol("}"):
-            break
-        if sc.at_end():
-            raise sc.error("unexpected end of input: missing '}'")
-        line, col = sc.line_col()
-        name = sc.name("a node name or '}'")
-        if sc.peek_symbol("->"):
-            chain = [name]
-            while sc.try_symbol("->"):
-                chain.append(sc.name("an edge target"))
-            attrs = _parse_attr_list(sc)
+    nodes, edges = doc.nodes, doc.edges
+    line, line_start, counted = 1, -1, 0  # lines counted up to `counted`
+    m = next(tokens)
+    while m[_SYMBOL] != "}":
+        pos = m.end(1)
+        if m.lastindex == _END:
+            raise _error(text, source, pos,
+                         "unexpected end of input: missing '}'")
+        newlines = text.count("\n", counted, pos)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, pos)
+        counted = pos
+        col = pos - line_start
+        chain = [m[_NAME] or _name(m, text, source, "a node name or '}'")]
+        m = next(tokens)
+        while m[_ARROW]:
+            m = next(tokens)
+            chain.append(m[_NAME] or _name(m, text, source, "an edge target"))
+            m = next(tokens)
+        listed = m[_SYMBOL] == "["
+        attrs: dict[str, str] = {}
+        while m[_SYMBOL] == "[":
+            m = next(tokens)
+            while m[_SYMBOL] != "]":
+                key = m[_NAME] or _name(m, text, source, "an attribute name")
+                m = next(tokens)
+                if m.lastindex != _EQ:
+                    raise _error(text, source, m.end(1), "expected '='")
+                value = m[_VALUE]
+                if value is None:
+                    raise _expected(text, source, m.end(), "an attribute value")
+                if value == "{":
+                    start = m.start(_VALUE)
+                    depth = 0
+                    for brace in _BRACE_RE.finditer(text, start):
+                        depth += 1 if brace[0] == "{" else -1
+                        if not depth:
+                            break
+                    else:
+                        raise _error(text, source, start,
+                                     "unterminated { group")
+                    value = text[start:brace.end()]
+                    tokens = _TOKEN_RE.finditer(text, brace.end())
+                elif value[0] == '"':
+                    value = _unquote(m[_VALUE + 1])
+                attrs[key] = value
+                m = next(tokens)
+                while m[_SYMBOL] in (",", ";"):
+                    m = next(tokens)
+            m = next(tokens)
+        if len(chain) > 1:
             for a, b in zip(chain, chain[1:]):
-                doc.edges.append(DotEdge(a, b, dict(attrs), line, col))
-        elif name in ("graph", "node", "edge") and sc.peek_symbol("["):
-            _parse_attr_list(sc)  # default-attribute statement, ignored
-        else:
-            doc.nodes.append(DotNode(name, _parse_attr_list(sc), line, col))
-        while sc.try_symbol(";"):
-            pass
-    if not sc.at_end():
-        raise sc.error("trailing input after closing '}'")
+                edges.append(DotEdge(a, b, dict(attrs), line, col))
+        elif not (listed and chain[0] in ("graph", "node", "edge")):
+            nodes.append(DotNode(chain[0], attrs, line, col))
+        # else a default-attribute statement, ignored
+        while m[_SYMBOL] == ";":
+            m = next(tokens)
+    m = next(tokens)
+    if m.lastindex != _END:
+        raise _error(text, source, m.end(1), "trailing input after closing '}'")
     return doc
 
 
@@ -219,23 +216,10 @@ def document_to_lts(doc: DotDocument, source: str = "<dot>") -> Lts:
     if not doc.nodes and not doc.edges:
         raise ParseError("empty graph: no nodes and no edges", source=source)
 
-    states: list[str] = []
-    seen: set[str] = set()
-
-    def add_state(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            states.append(name)
-
-    init_nodes: list[DotNode] = []
-    for node in doc.nodes:
-        add_state(node.name)
-        if strip_markup(node.attrs.get("init", "")).lower() == "true":
-            init_nodes.append(node)
-    for edge in doc.edges:
-        add_state(edge.source)
-        add_state(edge.target)
-
+    states = {node.name for node in doc.nodes}
+    states.update([e.source for e in doc.edges], [e.target for e in doc.edges])
+    init_nodes = [node for node in doc.nodes
+                  if strip_markup(node.attrs.get("init", "")).lower() == "true"]
     init_names = sorted({n.name for n in init_nodes})
     if len(init_names) > 1:
         n = init_nodes[-1]

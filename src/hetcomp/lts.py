@@ -274,12 +274,16 @@ def filter_facet(lts: Lts, keep: Iterable[str]) -> Lts:
     relation is a set.
     """
     keep = set(keep)
-    transitions = frozenset(
-        Transition(t.source,
-                   Label(t.label.comm,
-                         tuple(f for f in t.label.facets if f[0] in keep)),
-                   t.target)
-        for t in lts.transitions)
+    kept: dict[Label, Label] = {}  # one relabelling per distinct label
+    transitions = []
+    for t in lts.transitions:
+        label = kept.get(t.label)
+        if label is None:
+            facets = tuple(f for f in t.label.facets if f[0] in keep)
+            label = kept[t.label] = t.label if facets == t.label.facets \
+                else Label(t.label.comm, facets)
+        transitions.append(t if label is t.label
+                           else Transition(t.source, label, t.target))
     return Lts(lts.states, lts.initial, transitions)
 
 
@@ -292,14 +296,16 @@ def rename_channel(lts: Lts, old: str, new: str) -> Lts:
     """
     if old == new:
         return lts
-
-    def ren(label: Label) -> Label:
-        if label.comm.channel != old:
-            return label
-        return Label(ChannelAction(new, label.comm.direction), label.facets)
-
-    transitions = frozenset(
-        Transition(t.source, ren(t.label), t.target) for t in lts.transitions)
+    renamed: dict[Label, Label] = {}  # one new label per distinct label
+    transitions = []
+    for t in lts.transitions:
+        if t.label.comm.channel == old:
+            label = renamed.get(t.label)
+            if label is None:
+                label = renamed[t.label] = Label(
+                    ChannelAction(new, t.label.comm.direction), t.label.facets)
+            t = Transition(t.source, label, t.target)
+        transitions.append(t)
     return Lts(lts.states, lts.initial, transitions)
 
 

@@ -258,6 +258,34 @@ def test_check_skips_emit_before_building_it(tmp_path):
     assert r.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_check_type_checks_emit_operands_like_run(tmp_path, capsys, command):
+    write(tmp_path, "a.dot", A_DOT)
+    write(tmp_path, "b.dot", B_DOT)
+    script = write(tmp_path, "s.hcs", 'a = dot("a.dot")\nb = dot("b.dot")\n'
+                   's = compose(a, b)\nemit_lotos(s, "s.lotos")\n')
+    out = tmp_path / "out"
+    assert main([command, str(script), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {script}:4: emit_lotos "
+                                       "expects a process here, got a net\n")
+    assert not out.exists()
+
+
+def test_check_writes_no_file_for_valid_emits(tmp_path, capsys):
+    write(tmp_path, "a.dot", A_DOT)
+    write(tmp_path, "b.dot", B_DOT)
+    script = write(tmp_path, "s.hcs", 'a = dot("a.dot")\nb = dot("b.dot")\n'
+                   's = compose(a, b)\nemit_lotos(a, "a.lotos")\n'
+                   'emit_uppaal(s, "s.xml")\nemit_dot(s, "s.dot")\n')
+    out = tmp_path / "out"
+    assert main(["check", str(script), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
+    assert main(["run", str(script), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["a.lotos", "s.dot",
+                                                     "s.xml"]
+
+
 # ---- convert ----
 
 def test_convert_to_each_target(tmp_path, corpus_dir):

@@ -249,3 +249,35 @@ def test_error_position_at_the_end_of_a_large_document():
         parse_dot_document(text)
     assert (exc.value.message, exc.value.line, exc.value.col) == \
         ("expected an edge target", 20_002, 9)
+
+
+def _chain_document(edges: int) -> str:
+    body = "".join(f'  s{i} -> s{i + 1} [label="c!"];\n' for i in range(edges))
+    return "digraph g {\n" + body + "}\n"
+
+
+def test_a_large_document_parses():
+    lts = parse_dot(_chain_document(20_000))
+    assert (len(lts.states), len(lts.transitions)) == (20_001, 20_000)
+    assert lts.initial == "s0"
+
+
+@pytest.mark.parametrize("last, message, col", [
+    ('  s0 -> "s1 [label=x]', "unterminated string", 9),
+    ("  s0 -> s1 [label=x] /* open", "unterminated /* comment", 22),
+    ("  s0 -> s1 [label=x]; } x", "trailing input after closing '}'", 25),
+])
+def test_errors_on_the_last_line_of_a_large_document(last, message, col):
+    text = _chain_document(20_000)[:-2] + last
+    with pytest.raises(ParseError) as exc:
+        parse_dot_document(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        (message, 20_002, col)
+
+
+def test_deeply_nested_brace_label_parses():
+    label = "{" * 5_000 + "x" + "}" * 5_000
+    text = f"digraph g {{ a -> b [label={label}, x=y]; }}"
+    assert parse_dot_document(text).edges[0].attrs == {"label": label, "x": "y"}
+    (t,) = parse_dot(text).transitions
+    assert t.label.text == label

@@ -227,6 +227,41 @@ def test_rename_channel_set_law(lts):
         assert channels_of(out) == (channels_of(lts) - {"a"}) | {"zz"}
 
 
+@given(ltses())
+def test_rename_matches_pointwise_relabelling(lts):
+    out = rename_channel(lts, "a", "zz")
+    assert out.states == lts.states and out.initial == lts.initial
+    expected = {
+        Transition(t.source,
+                   Label(ChannelAction("zz", t.label.comm.direction),
+                         t.label.facets)
+                   if t.label.comm.channel == "a" else t.label,
+                   t.target)
+        for t in lts.transitions
+    }
+    assert out.transitions == frozenset(expected)
+
+
+def test_filter_and_rename_rebuild_only_what_changes():
+    guard = parse_label("c!|guard:x>0")
+    both = parse_label("c!|guard:x>0|time:t<5")
+    other = parse_label("d?")
+    ts = [Transition("a", guard, "b"), Transition("b", both, "a"),
+          Transition("a", both, "a"), Transition("b", other, "b")]
+    lts = Lts(["a", "b"], "a", ts)
+
+    out = {t.source + t.target: t for t in filter_facet(lts, {"guard"}).transitions}
+    assert out["ab"] is ts[0] and out["bb"] is ts[3]
+    # one new label for the two transitions that lose a facet
+    assert out["ba"].label is out["aa"].label == guard
+
+    out = {t.source + t.target: t
+           for t in rename_channel(lts, "c", "e").transitions}
+    assert out["bb"] is ts[3]
+    assert out["ba"].label is out["aa"].label == parse_label("e!|guard:x>0|time:t<5")
+    assert out["ab"].label == parse_label("e!|guard:x>0")
+
+
 # ---- isomorphism ----
 
 def _mapped(lts, mapping):
