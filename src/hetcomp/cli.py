@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 when every executed check holds, 1 when some check is
 false, 3 when none is false but some is unknown (state bound hit), and
-2 on any error.  The state bound, a positive integer, can be set
-through the HETCOMP_BOUND environment variable; --bound overrides it.
+2 on any error.  An emit statement whose product hits the state bound
+is unknown too: it writes no file and names its line on stderr.  The
+state bound, a positive integer, can be set through the HETCOMP_BOUND
+environment variable; --bound overrides it.
 
 `main()` may be called many times in one process, as a library entry
 point: the argument parser is built on the first call and reused, and
@@ -31,7 +33,7 @@ from . import checker, emitters
 from .algebra import (ChannelMode, Process, SystemNet, compose, extract_chan,
                       remove, rename, replace, select, with_channel_modes)
 from .dotio import document_to_lts, parse_dot_document
-from .errors import HetcompError, ScriptError
+from .errors import HetcompError, ScriptError, StateBoundExceeded
 from .lts import channels_of, filter_facet, is_token
 from .scriptlang import (MODELS, Binding, Call, ChannelDecl, Expr,
                          ScriptProgram, Str, Var, arg_kinds, parse_script)
@@ -114,10 +116,17 @@ class Interpreter:
             if isinstance(value, Process):
                 value = Process(stmt.name, value.body, value.interface)
             self.env[stmt.name] = value
-        elif self.options.skip_emit and stmt.call.func.startswith("emit_"):
+        elif not stmt.call.func.startswith("emit_"):
+            self._eval(stmt.call)  # a bare filter's result is discarded
+        elif self.options.skip_emit:
             self.operands(stmt.call)  # checked, but nothing is rendered
         else:
-            self._eval(stmt.call)  # a bare filter's result is discarded
+            try:
+                self._eval(stmt.call)
+            except StateBoundExceeded as e:
+                self.outcomes.append("unknown")
+                print(f"{self.script_path}:{stmt.line}: {stmt.call.func} "
+                      f"unknown, no file written: {e}", file=sys.stderr)
 
     def _eval(self, expr: Expr):
         if isinstance(expr, Var):

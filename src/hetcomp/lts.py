@@ -163,16 +163,25 @@ class Label:
 
 def parse_label(text: str) -> Label:
     """Parse a label from its text form (see the module grammar)."""
+    return _parse_label(text, {})
+
+
+def _parse_label(text: str, comms: dict[str, ChannelAction]) -> Label:
+    """parse_label, sharing one ChannelAction per communication text
+    through comms, so a reader of many labels builds each only once."""
     segments = text.split("|")
     comm_text = segments[0].strip()
-    if not comm_text:
-        raise ParseError(f"label {text!r} has an empty communication part")
-    if comm_text.endswith("!"):
-        comm = ChannelAction(_comm_token(comm_text, text), Direction.SEND)
-    elif comm_text.endswith("?"):
-        comm = ChannelAction(_comm_token(comm_text, text), Direction.RECEIVE)
-    else:
-        comm = ChannelAction(comm_text, Direction.INTERNAL)
+    comm = comms.get(comm_text)
+    if comm is None:
+        if not comm_text:
+            raise ParseError(f"label {text!r} has an empty communication part")
+        if comm_text.endswith("!"):
+            comm = ChannelAction(_comm_token(comm_text, text), Direction.SEND)
+        elif comm_text.endswith("?"):
+            comm = ChannelAction(_comm_token(comm_text, text), Direction.RECEIVE)
+        else:
+            comm = ChannelAction(comm_text, Direction.INTERNAL)
+        comms[comm_text] = comm
     facets: list[tuple[str, str]] = []
     index: dict[str, int] = {}
     for seg in segments[1:]:

@@ -1,6 +1,8 @@
 r"""Parser for the composition script language.
 
-One statement per line, `#` starts a comment.  Statement forms:
+One statement per line, `#` starts a comment.  Lines end at ``\n``
+only, with one ``\r`` before it dropped, so a form feed or another
+Unicode line break stays inside its line.  Statement forms:
 
     name = dot("file.dot")
     name = compose(a, b, ...)
@@ -249,8 +251,9 @@ def _check_call(call: Call, source: str, values: list[Var]) -> None:
 def parse_script(text: str, source: str = "<script>") -> ScriptProgram:
     statements: list[Statement] = []
     bound: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _lex_line(raw, lineno, source)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = _lex_line(raw[:-1] if raw.endswith("\r") else raw, lineno,
+                           source)
         if tokens[0][0] == "end":
             continue
         lp = _LineParser(tokens, lineno, source)

@@ -117,6 +117,37 @@ def test_false_beats_unknown_in_exit_code(tmp_path):
     assert r.returncode == 1
 
 
+def test_emit_at_the_bound_is_unknown_and_writes_nothing(tmp_path,
+                                                         corpus_dir):
+    r = run_cli("run", str(corpus_dir / "case_study.hcs"), "--bound", "3",
+                "--out-dir", str(tmp_path))
+    assert r.returncode == 3, r.stderr
+    assert r.stdout.count(": unknown\n") == 2
+    assert r.stderr == (f"{corpus_dir / 'case_study.hcs'}:20: emit_dot "
+                        "unknown, no file written: state-space bound of 3 "
+                        "states exceeded (frontier size 1)\n")
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["case_study.xml",
+                                                     "dtctrl1.lotos"]
+
+
+def test_false_beats_an_emit_at_the_bound(tmp_path):
+    write(tmp_path, "s1.dot", 'digraph s1 { u -> v [label="c!"] }\n')
+    write(tmp_path, "s2.dot", 'digraph s2 { w -> x [label="c!"] }\n')
+    write(tmp_path, "ring.dot",
+          'digraph r { s0 -> s1 [label="go"]; s1 -> s0 [label="go"]; }\n')
+    script = write(tmp_path, "s.hcs",
+                   'r = dot("ring.dot")\n'
+                   'emit_dot(compose(r), "p.dot")\n'
+                   'check(compose(dot("s1.dot"), dot("s2.dot")), '
+                   '"A[] not deadlock")\n')
+    r = run_cli("run", str(script), "--bound", "1", "--out-dir",
+                str(tmp_path / "out"))
+    assert r.returncode == 1
+    assert "s.hcs:2: emit_dot unknown, no file written" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_script_exits_two(tmp_path):
     r = run_cli("run", str(tmp_path / "nope.hcs"))
     assert r.returncode == 2

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from hetcomp import (Direction, Label, ParseError, channels_of, parse_dot,
-                     parse_label)
-from hetcomp.dotio import parse_dot_document, strip_markup
+import reference_dotio
+from hetcomp import (Direction, HetcompError, Label, ParseError, channels_of,
+                     parse_dot, parse_label)
+from hetcomp.dotio import document_to_lts, parse_dot_document, strip_markup
 
 
 def test_minimal_graph():
@@ -281,3 +282,40 @@ def test_deeply_nested_brace_label_parses():
     assert parse_dot_document(text).edges[0].attrs == {"label": label, "x": "y"}
     (t,) = parse_dot(text).transitions
     assert t.label.text == label
+
+
+# ---- document_to_lts: one label per distinct label attribute ----
+
+def test_plain_and_marked_up_labels_are_equal():
+    lts = parse_dot('digraph g { a -> b [label="a!"]; b -> a [label={\\red a!}];'
+                    ' a -> a [label="a!", facets="time:t<1"]; }')
+    by_source = {(t.source, t.target): t.label for t in lts.transitions}
+    assert by_source[("a", "b")] == by_source[("b", "a")] == Label.send("a")
+    assert by_source[("a", "a")] == Label.send("a", [("time", "t<1")])
+
+
+def test_a_bad_label_after_good_edges_reports_its_own_position():
+    text = ('digraph g {\n  a -> b [label="c!"];\n  b -> a [label="c!"];\n'
+            '  b -> b [label="d?"]; a -> a [label="bad name!"];\n'
+            '  b -> b [label="bad name!"];\n}')
+    with pytest.raises(HetcompError) as want:
+        parse_label("bad name!")
+    with pytest.raises(ParseError) as exc:
+        document_to_lts(parse_dot_document(text, "m.dot"), "m.dot")
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        (f"bad edge label: {want.value}", 4, 24)
+
+
+def test_a_comment_in_a_large_document_matches_the_reference():
+    # the statement pattern reads every statement but the commented one
+    rng = random.Random(16)
+    lines = []
+    for i in range(2_000):
+        facets = rng.choice(["", ', facets="guard:x>0"', ', facets="time:t<5"'])
+        src, dst = f"s{rng.randrange(300)}", f'"s{rng.randrange(300)}"'
+        lines.append(f'  {src} -> {dst} [label="c{rng.randrange(9)}!"{facets}];')
+    lines[1_000] = lines[1_000].replace("->", "/* comment */ ->")
+    text = "digraph g {\n" + "\n".join(lines) + "\n}\n"
+    doc = parse_dot_document(text)
+    assert doc == reference_dotio.parse_dot_document(text)
+    assert len(doc.edges) == 2_000 and doc.edges[1_000].line == 1_002

@@ -30,6 +30,10 @@ REJECTED = [
     'digraph g { a-b; a+b -> c; "a-b" -> "a+b" [label=a+b] }',
     'digraph g { a -> b [label=/* x ] }',
     'digraph g { a -> b [label="x ] }',
+    # a chain broken by `;` leaves an arrow where a statement starts
+    'digraph g { a -> b [x=1]; -> c }',
+    # a bare run split by backtracking would read two attributes
+    'digraph g { a -> b [lablabel=el="a?"]; }',
 ]
 
 FRAGMENTS = [
@@ -41,6 +45,17 @@ FRAGMENTS = [
     'digraph g{a->b[label="p->q"]b->c[label={\\blue {nested}}]}',
     # a quoted `}` right after a brace group
     'digraph g { a -> b [label={\\red x!}, facets="guard: }"]; b -> a }',
+    # at the edges of the statement pattern: two lists, separators run
+    # together, a statement over several lines, a comment inside one,
+    # one without `;`, an escaped quote in a name, a brace group late
+    'digraph g { a [x=1][y=2]; a -> b [x=1 y=2,,;z=3]; }',
+    'digraph g {\n  a\n  ->\n  b\n  [label="x!",\n   facets="time:t<1"]\n  ;\n}',
+    'digraph g { a -> /* c */ b [label=/* d */"y?"]; b # e\n -> a; }',
+    'digraph g { a -> b [label="x!"] b -> c; c }',
+    'digraph g { "a\\"b" -> c; c -> "a\\"b" [label="q\\"r"]; }',
+    'digraph g { a -> b [x=1, label={\\red y!}]; b -> a [x=2]; }',
+    # more `;` after a comment that follows a statement
+    'digraph g { a; # y\n; b -> a; /* c */ ;; c; // z\n }',
 ] + REJECTED
 
 SNIPPETS = [

@@ -32,6 +32,19 @@ chans(p)
     assert prog[1].line == 5
 
 
+def test_lines_end_at_newline_only():
+    # a form feed, a vertical tab or a Unicode line break stays inside
+    # its comment, and line numbers count "\n" as editors do
+    for brk in "\x0c\x0b\x1c\x85\u2028":
+        prog = stmts(f'p = dot("a.dot")  # page break {brk} here\n')
+        assert [type(s) for s in prog] == [Binding]
+    text = 'p = dot("a.dot")  # page break \x0c here\r\nchans(p)\r\nchans(q)\n'
+    with pytest.raises(ParseError) as exc:
+        parse_script(text, source="s.hcs")
+    assert exc.value.line == 3
+    assert stmts(text.replace("chans(q)", "chans(p)"))[2].line == 3
+
+
 def test_compose_is_variadic_and_nests():
     prog = stmts('a = dot("a.dot")\n'
                  'b = dot("b.dot")\n'

@@ -8,6 +8,12 @@ tokenized by one pattern: unterminated strings, escapes (`\\"`, `\\\\`
 and a kept `\\x`), `#` inside and outside strings, a number run into a
 name (`12ab`), non-ASCII characters and blanks other than space, tab
 and CR.
+
+Lines end at "\n" only, with one CR before it dropped; the reference
+splits with `str.splitlines`, which also breaks at CR, form feed and
+other Unicode line breaks.  It is handed the text as `NewlineOnly`,
+whose `splitlines` follows the current rule, so a `\r` or `\f` from
+the mutator stays inside its line on both sides.
 """
 
 import random
@@ -73,6 +79,18 @@ def mutate(text: str, rng: random.Random) -> str:
     return text
 
 
+class NewlineOnly(str):
+    """A script text whose lines end at "\n" only, one CR before it dropped."""
+
+    def splitlines(self):
+        return [line[:-1] if line.endswith("\r") else line
+                for line in self.split("\n")]
+
+
+def reference(text: str, source: str = "<script>"):
+    return reference_scriptlang.parse_script(NewlineOnly(text), source)
+
+
 def outcome(parse, text: str):
     try:
         return repr(parse(text, "s.hcs").statements)
@@ -97,7 +115,7 @@ def test_mutated_scripts_match_the_reference(corpus_dir, seed):
     accepted = 0
     for _ in range(600):
         text = mutate(rng.choice(texts), rng)
-        want = outcome(reference_scriptlang.parse_script, text)
+        want = outcome(reference, text)
         assert outcome(parse_script, text) == want, text
         accepted += isinstance(want, str)
     assert accepted > 30
@@ -106,5 +124,5 @@ def test_mutated_scripts_match_the_reference(corpus_dir, seed):
 def test_every_statement_alone_matches_the_reference():
     for stmt in STATEMENTS:
         text = 'p = dot("p.dot")\nq = dot("q.dot")\ns = compose(p, q)\n' + stmt
-        want = outcome(reference_scriptlang.parse_script, text)
+        want = outcome(reference, text)
         assert outcome(parse_script, text) == want, text
