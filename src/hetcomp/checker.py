@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import SystemNet
-from .errors import AlgebraError, ParseError, QueryError
+from .errors import ParseError, QueryError
 from .semantics import (AsyncReceive, AsyncSend, GlobalTransition, Handshake,
                         Local, search_of)
 from .semantics import enabled  # noqa: F401  wrapped by perfbench/spans.py
@@ -111,25 +111,21 @@ class Verdict:
 
 def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
     """BFS decision of q over the reachable global states of net."""
-    if q.kind == "reach":
-        for inst, state in q.conjuncts:
-            try:
-                proc = net.get(inst)
-            except AlgebraError:
-                raise QueryError(
-                    f"query names unknown instance {inst!r} "
-                    f"(net has: {', '.join(net.instance_names())})") from None
-            if state not in proc.body.states:
-                raise QueryError(
-                    f"query names unknown state {state!r} of instance {inst}")
-
     is_reach = q.kind == "reach"
     search = search_of(net, bound)
     compiled, states, steps = search.compiled, search.states, search.steps
     goal = []   # (component, local int)
     for inst, state in q.conjuncts:
-        i = compiled.position[inst]
-        goal.append((i, compiled.local(i, state)))
+        i = compiled.position.get(inst)
+        if i is None:
+            raise QueryError(
+                f"query names unknown instance {inst!r} "
+                f"(net has: {', '.join(compiled.names)})")
+        l = compiled.index[i].get(state)
+        if l is None:
+            raise QueryError(
+                f"query names unknown state {state!r} of instance {inst}")
+        goal.append((i, l))
     for k in search:
         if (all(states[k][i] == l for i, l in goal) if is_reach
                 else not steps[k]):

@@ -85,8 +85,6 @@ def emit_uppaal(net: SystemNet) -> str:
         if not _UPPAAL_ID_RE.match(inst):
             raise EmitError(f"instance name {inst!r} is not a valid "
                             "Uppaal identifier")
-        if not proc.body.states:
-            raise EmitError(f"component {inst} has no states")
         states = sorted(proc.body.states)
         pos = _grid(states)
         ids = {}

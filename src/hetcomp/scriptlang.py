@@ -207,11 +207,9 @@ class _LineParser:
 
 def _check_call(call: Call, source: str, values: list[Var]) -> None:
     """Check call against its shape; add the Vars that stand for bound
-    values (not channel, instance or facet names) to values."""
-    shape = _SHAPES.get(call.func)
-    if shape is None:
-        raise ParseError(f"unknown operation {call.func!r}",
-                         line=call.line, source=source)
+    values (not channel, instance or facet names) to values.  call.func
+    is a PRODUCING or COMMANDS name, so it has a shape."""
+    shape = _SHAPES[call.func]
     variadic = shape[-1].endswith("*")
     fixed = len(shape) - variadic
     if len(call.args) < fixed or (not variadic and len(call.args) > fixed):

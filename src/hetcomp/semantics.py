@@ -34,25 +34,27 @@ partitioned next-state function:
   `AsyncReceive`, and `Handshake` per channel, sender and receiver)
   gets an integer rank by sorting all of them once with
   `_kind_sort_key`;
-* each component's local states are interned as ints, and its moves
-  from a local state are compiled on first use into local steps,
-  asynchronous sends and receives (with their buffer slot and
-  capacity) and synchronous sends (with the components that could
-  receive them), each with its target int and rank;
+* each component's local states are numbered once, in sorted order,
+  and the moves from every local state are compiled up front into one
+  list indexed by that number: local steps, asynchronous sends and
+  receives (with their buffer slot and capacity) and synchronous sends
+  (with the components that could receive them), each with its target
+  number and rank;
 * a compiled global state is a flat tuple: one local int per
   component, then one buffer per shared asynchronous channel (in
   channel order) holding the senders' component indices, oldest first.
 
 A step is a (rank, target) pair, and the enabled steps of a state sort
-by rank; the record keeps them as (rank, target position) pairs.  Steps of equal kind (nondeterminism) are ordered by their
-decoded targets' `text`, computed for such tied groups only, so the
-order is exactly `step_sort_key`'s.  `GlobalState` and
+by rank; the record keeps them as (rank, target position) pairs.  Steps
+of equal kind (nondeterminism) are ordered by their decoded targets'
+`text`, computed for such tied groups only, so the order is exactly
+`step_sort_key`'s and the local numbers never show.  `GlobalState` and
 `GlobalTransition` values are decoded only where the public contract
 needs them: `explore`, witnesses (`Search.path_to`), the public
 `enabled` (which validates its state first) and the labels of
 `product`.  State names (`GlobalState.text` of a decoded state) are
-joined from a per-component table of ``inst:state`` strings, filled as
-local states are interned, without decoding the state.
+joined from a per-component table of ``inst:state`` strings, without
+decoding the state.
 """
 
 from __future__ import annotations
@@ -205,13 +207,12 @@ def _check_consistent(net: SystemNet, table: dict[str, ChannelMode],
 
 
 class _Compiled:
-    """The net with ranked step kinds and per-local-state move tables.
+    """The net with ranked step kinds and one move table per component.
 
     `successors` is the next-state function on compiled states; `decode`
-    and `transition` turn compiled values back into public ones.  Local
-    states are interned, and their moves compiled, on first use, so a
-    search that visits few local states pays for little more than
-    ranking the step kinds.
+    and `transition` turn compiled values back into public ones.  The
+    constructor numbers every local state of every component and
+    compiles its moves, so the search that follows only reads tables.
     """
 
     def __init__(self, net: SystemNet):
@@ -219,106 +220,95 @@ class _Compiled:
         self.names = names = net.instance_names()
         self.position = {inst: i for i, inst in enumerate(names)}
         self.buffered = _buffered(table)
-        self.slot = {c: len(names) + j for j, c in enumerate(self.buffered)}
+        slot = {c: len(names) + j for j, c in enumerate(self.buffered)}
         bodies = [proc.body for _, proc in net.components]
-        self.states: list[list[str]] = [[] for _ in names]   # by local int
-        self.index: list[dict[str, int]] = [{} for _ in names]
-        self.texts: list[list[str]] = [[] for _ in names]    # "inst:state"
+        self.states = [sorted(body.states) for body in bodies]   # by local int
+        self.index = [{state: l for l, state in enumerate(states)}
+                      for states in self.states]
+        self.texts = [[f"{inst}:{state}" for state in states]   # "inst:state"
+                      for inst, states in zip(names, self.states)]
 
         # every step kind the net can take, with its label if it is
-        # local, and each component's moves by source state as (kind,
-        # None, target) for local and async moves and (None, channel
-        # action, target) for sync ones
+        # local, and each component's kind by label, None for a sync
+        # action
         kinds: dict[Kind, Label | None] = {}
         senders: dict[str, set[int]] = {}
         receivers: dict[str, set[int]] = {}
-        self.outgoing: list[dict[str, list[tuple]]] = []
+        kind_of: list[dict[Label, Kind | None]] = []
         for i, (inst, body) in enumerate(zip(names, bodies)):
-            outgoing: dict[str, list[tuple]] = {}
-            for t in body.transitions:
-                comm = t.label.comm
+            of: dict[Label, Kind | None] = {}
+            for label in {t.label for t in body.transitions}:
+                comm = label.comm
                 mode = table.get(comm.channel)
                 if comm.direction is Direction.INTERNAL or mode is None:
-                    kind = Local(inst, t.label.text)
-                    kinds[kind] = t.label
-                    move = (kind, None, t.target)
+                    kind = Local(inst, label.text)
+                    kinds[kind] = label
                 elif mode.kind == "async":
                     kind = (AsyncSend(comm.channel, inst)
                             if comm.direction is Direction.SEND
                             else AsyncReceive(comm.channel, inst))
                     kinds[kind] = None
-                    move = (kind, None, t.target)
                 else:
                     side = senders if comm.direction is Direction.SEND else receivers
                     side.setdefault(comm.channel, set()).add(i)
-                    move = (None, comm, t.target)
-                outgoing.setdefault(t.source, []).append(move)
-            self.outgoing.append(outgoing)
+                    kind = None
+                of[label] = kind
+            kind_of.append(of)
         handshakes = {(chan, i, j): Handshake(chan, names[i], names[j])
                       for chan, sending in senders.items() for i in sending
                       for j in receivers.get(chan, ()) if j != i}
         kinds.update(dict.fromkeys(handshakes.values()))
         self.kinds: list[Kind] = sorted(kinds, key=_kind_sort_key)
-        self.rank = {kind: r for r, kind in enumerate(self.kinds)}
+        rank = {kind: r for r, kind in enumerate(self.kinds)}
         self.local_labels = [kinds[kind] for kind in self.kinds]
         # (channel, sender) -> ((receiver, rank), ...)
-        partners: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        partners: dict[tuple[str, int], tuple[tuple[int, int], ...]] = {}
         for (chan, i, j), kind in handshakes.items():
-            partners.setdefault((chan, i), []).append((j, self.rank[kind]))
-        self.partners = {key: tuple(js) for key, js in partners.items()}
+            key = (chan, i)
+            partners[key] = partners.get(key, ()) + ((j, rank[kind]),)
 
-        self.moves = [_Moves(self, i) for i in range(len(names))]
-        self.initial = tuple(self.local(i, body.initial)
-                             for i, body in enumerate(bodies)
-                             ) + ((),) * len(self.buffered)
-
-    def local(self, i: int, state: str) -> int:
-        """The local int of component i's state, interning it if new."""
-        index = self.index[i]
-        l = index.get(state)
-        if l is None:
-            l = index[state] = len(self.states[i])
-            self.states[i].append(state)
-            self.texts[i].append(f"{self.names[i]}:{state}")
-        return l
-
-    def compile_moves(self, i: int, l: int) -> tuple:
-        """Component i's moves from local l: (steps, receives).
-
-        steps holds local steps (rank, target), async steps (rank,
-        target, slot, capacity or 0 for a receive) and sync sends
-        (channel, target, ((receiver, rank), ...)), or is None if there
-        are none; receives maps each channel to its sync receive targets.
-        Moves are deduplicated, so two steps of one state are never equal.
-        """
-        rank, table, slot, partners = self.rank, self.table, self.slot, self.partners
-        locs: dict[tuple, None] = {}
-        asyncs: dict[tuple, None] = {}
-        sends: dict[tuple, None] = {}
-        receives: dict[str, dict[int, None]] = {}
-        for kind, comm, target in self.outgoing[i].get(self.states[i][l], ()):
-            target = self.local(i, target)
-            if kind is None:
-                if comm.direction is Direction.RECEIVE:
+        # moves[i][l], component i's moves from local l: (steps,
+        # receives).  steps holds local steps (rank, target), async
+        # steps (rank, target, slot, capacity or 0 for a receive) and
+        # sync sends (channel, target, ((receiver, rank), ...)), or is
+        # None if there are none; receives maps each channel to its sync
+        # receive targets.  Moves are deduplicated, so two steps of one
+        # state are never equal.
+        self.moves: list[list[tuple]] = []
+        for i, (body, index, of) in enumerate(zip(bodies, self.index,
+                                                  kind_of)):
+            rank_of = {label: rank[kind] for label, kind in of.items()
+                       if kind is not None}
+            found = [({}, {}, {}, {}) for _ in index]   # by source local
+            for t in body.transitions:
+                label, target = t.label, index[t.target]
+                locs, asyncs, sends, receives = found[index[t.source]]
+                kind, comm = of[label], label.comm
+                if isinstance(kind, Local):
+                    locs[rank_of[label], target] = None
+                elif kind is not None:
+                    asyncs[rank_of[label], target, slot[comm.channel],
+                           table[comm.channel].capacity
+                           if isinstance(kind, AsyncSend) else 0] = None
+                elif comm.direction is Direction.RECEIVE:
                     receives.setdefault(comm.channel, {})[target] = None
                 elif (comm.channel, i) in partners:
                     sends[comm.channel, target,
                           partners[comm.channel, i]] = None
-            elif isinstance(kind, Local):
-                locs[rank[kind], target] = None
-            else:
-                asyncs[rank[kind], target, slot[kind.channel],
-                       table[kind.channel].capacity
-                       if isinstance(kind, AsyncSend) else 0] = None
-        return (((tuple(locs), tuple(asyncs), tuple(sends))
-                 if locs or asyncs or sends else None),
-                {chan: tuple(targets) for chan, targets in receives.items()})
+            self.moves.append([
+                (((tuple(locs), tuple(asyncs), tuple(sends))
+                  if locs or asyncs or sends else None),
+                 {chan: tuple(ts) for chan, ts in receives.items()})
+                for locs, asyncs, sends, receives in found])
+        self.initial = tuple(index[body.initial] for index, body
+                             in zip(self.index, bodies)
+                             ) + ((),) * len(self.buffered)
 
     def successors(self, s: tuple) -> list[tuple[int, tuple]]:
         """The enabled steps of s as (rank, target) in canonical order."""
         out = []
         moves = self.moves
-        for i, (steps, _) in enumerate(map(dict.__getitem__, moves, s)):
+        for i, (steps, _) in enumerate(map(list.__getitem__, moves, s)):
             if steps is None:
                 continue
             locs, asyncs, sends = steps
@@ -366,8 +356,8 @@ class _Compiled:
 
     def encode(self, g: GlobalState) -> tuple:
         """The compiled form of g, a state consistent with the net."""
-        return tuple(self.local(i, state) for i, (_, state)
-                     in enumerate(g.locals)) + tuple(
+        return tuple(index[state] for index, (_, state)
+                     in zip(self.index, g.locals)) + tuple(
             tuple(self.position[tok] for tok in toks) for _, toks in g.buffers)
 
     def text(self, s: tuple) -> str:
@@ -384,19 +374,6 @@ class _Compiled:
 
 
 _rank = itemgetter(0)
-
-
-class _Moves(dict):
-    """One component's compiled moves by local int, compiled on first use."""
-
-    __slots__ = ("compiled", "i")
-
-    def __init__(self, compiled: _Compiled, i: int):
-        self.compiled, self.i = compiled, i
-
-    def __missing__(self, l: int) -> tuple:
-        moves = self[l] = self.compiled.compile_moves(self.i, l)
-        return moves
 
 
 def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:

@@ -21,8 +21,10 @@ PROBE = ("import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
 
 
 def test_import_hetcomp_loads_no_cli_or_io_module():
-    r = subprocess.run([sys.executable, "-I", "-c", PROBE.format(src=str(SRC))],
-                       capture_output=True, text=True, timeout=60)
+    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps bytecode out of src
+    r = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", PROBE.format(src=str(SRC))],
+        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     added = set(r.stdout.split())
     assert "hetcomp.dotio" in added

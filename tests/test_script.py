@@ -3,7 +3,8 @@
 import pytest
 
 from hetcomp import ParseError, parse_script
-from hetcomp.scriptlang import (Binding, Call, ChannelDecl, Command, Str, Var)
+from hetcomp.scriptlang import (COMMANDS, PRODUCING, _SHAPES, Binding, Call,
+                                ChannelDecl, Command, Str, Var)
 
 
 def stmts(text):
@@ -107,6 +108,10 @@ def test_unknown_operation_rejected():
     assert exc.value.line == 1
     with pytest.raises(ParseError):
         stmts('p = dot("x.dot")\nhide(p)\n')
+
+
+def test_every_operation_has_a_shape_and_every_shape_an_operation():
+    assert PRODUCING | COMMANDS == set(_SHAPES)
 
 
 def test_use_before_bind_rejected():

@@ -16,8 +16,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcomp import (DEADLOCK_FREE, DEFAULT_STATE_BOUND, StateBoundExceeded,
-                     SystemNet, check, explore, product, reach, traces)
+from hetcomp import (DEADLOCK_FREE, DEFAULT_STATE_BOUND, Label, Lts, Process,
+                     StateBoundExceeded, SystemNet, Transition, async_mode,
+                     check, compose, emit_dot, explore, product, reach,
+                     traces, with_channel_modes)
 from hetcomp.semantics import Search, search_of
 import reference_semantics as ref
 from gen import philo_net, random_conjuncts, random_net
@@ -115,6 +117,39 @@ def test_interleaved_iterators_over_one_search_see_one_sequence(
     assert [g for g, _ in want] == [g for g, _ in reference]
     assert (search.cut is not None) == reference.truncated
     assert search.index is None   # dropped once every state is expanded
+
+
+def test_local_state_numbering_does_not_show():
+    """Each component's initial state sorts last, so numbering local
+    states in sorted order differs from numbering them as found.  P's
+    two "work" steps tie in rank, so target text orders them: "m+"
+    sorts after "m", but "P:m+,Q:y" sorts before "P:m,Q:y".
+    """
+    p = Lts(["z", "m", "m+", "a", "d", "n"], "z", [
+        Transition("z", Label.internal("work"), "m"),
+        Transition("z", Label.internal("work"), "m+"),
+        Transition("m+", Label.send("go"), "a"),
+        Transition("m", Label.internal("halt"), "d"),
+        Transition("a", Label.send("c"), "z"),
+        Transition("n", Label.internal("work"), "z")])   # n is unreachable
+    q = Lts(["y", "b"], "y", [
+        Transition("y", Label.receive("go"), "b"),
+        Transition("b", Label.receive("c"), "y")])
+    net = with_channel_modes(compose(Process("P", p), Process("Q", q)),
+                             {"c": async_mode(1)})
+    for _, proc in net.components:
+        assert sorted(proc.body.states)[-1] == proc.body.initial
+    states, steps = explore(net)
+    first = [t.kind for t in steps[states[0]]]
+    assert len(first) == 2 and first[0] == first[1]
+
+    query = reach(("P", "z"), ("Q", "b"))
+    for name in CONSUMERS:
+        got = _run(name, net, query, None, "hetcomp")
+        assert got == _run(name, net, query, None, "reference"), name
+    assert check(net, DEADLOCK_FREE).outcome == "false"
+    assert check(net, query).outcome == "true"
+    assert emit_dot(product(net)) == emit_dot(ref.product(net))
 
 
 def test_recorded_steps_point_at_positions():
