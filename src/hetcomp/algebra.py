@@ -14,7 +14,7 @@ equal nets compare (and hash) equal regardless of how they were built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import AlgebraError
 from .lts import Lts, channels_of, is_token, rename_channel
@@ -171,6 +171,23 @@ def _mode_text(m: ChannelMode) -> str:
     return m.kind if m.kind == "sync" else f"async[{m.capacity}]"
 
 
+def fresh_names(taken: Iterable[str] = ()) -> Callable[[str], str]:
+    """A namer: each call takes and returns the first free name among
+    base, base_2, base_3, ...  Names are only ever taken, so it resumes
+    each base at its next suffix, and naming n clashes is linear."""
+    taken = set(taken)
+    next_suffix: dict[str, int] = {}
+
+    def fresh(base: str) -> str:
+        name, k = base, next_suffix.get(base, 2)
+        while name in taken:
+            name, k = f"{base}_{k}", k + 1
+        next_suffix[base] = k
+        taken.add(name)
+        return name
+    return fresh
+
+
 def compose(*parts: Union[Process, SystemNet]) -> SystemNet:
     """Flat parallel composition of processes and nets.
 
@@ -191,15 +208,8 @@ def compose(*parts: Union[Process, SystemNet]) -> SystemNet:
         else:
             raise AlgebraError(f"compose takes processes and nets, "
                                f"not {type(part).__name__}")
-    assigned: dict[str, Process] = {}
-    for proc in procs:
-        name = proc.name
-        k = 2
-        while name in assigned:
-            name = f"{proc.name}_{k}"
-            k += 1
-        assigned[name] = proc
-    return SystemNet(assigned, modes)
+    fresh = fresh_names()
+    return SystemNet([(fresh(p.name), p) for p in procs], modes)
 
 
 def select(net: SystemNet, instance: str) -> Process:
@@ -259,12 +269,7 @@ def replace(net: SystemNet, old_instance: str, new: Process) -> SystemNet:
 
     components = dict(net.components)
     components[old_instance] = isolated
-    name = new.name
-    k = 2
-    while name in components:
-        name = f"{new.name}_{k}"
-        k += 1
-    components[name] = new
+    components[fresh_names(components)(new.name)] = new
     return SystemNet(components, net.channel_modes)
 
 

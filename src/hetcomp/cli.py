@@ -64,8 +64,13 @@ def load_process(path: Path) -> Process:
                    document_to_lts(doc, source=str(path)))
 
 
-def _write_output(text: str, filename: str, out_dir: str | None) -> None:
-    """Write text to filename, under out_dir when it is relative."""
+def _write_output(text: str, filename: str | None,
+                  out_dir: str | None) -> None:
+    """Write text to filename, under out_dir when it is relative, or to
+    stdout when no filename is given."""
+    if filename is None:
+        sys.stdout.write(text)
+        return
     out = Path(filename)
     if not out.is_absolute() and out_dir:
         out = Path(out_dir) / out
@@ -249,17 +254,9 @@ def run_script(path: str | Path, options: RunOptions) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     path = Path(args.input)
     try:
-        proc = load_process(path)
-        if args.to == "uppaal":
-            text = emitters.emit_uppaal(compose(proc))
-        elif args.to == "lotos":
-            text = emitters.emit_lotos(proc)
-        else:
-            text = emitters.emit_dot(proc)
-        if args.output:
-            _write_output(text, args.output, args.out_dir)
-        else:
-            sys.stdout.write(text)
+        interp = Interpreter(path, RunOptions(out_dir=args.out_dir))
+        getattr(interp, f"emit_{args.to}")(load_process(path),
+                                            args.output or None)
     except (HetcompError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

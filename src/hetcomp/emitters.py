@@ -9,34 +9,23 @@ DOT `facets` attribute, LOTOS comments).
 Each emitter renders a piece of text once per call and looks it up
 after that: `emit_dot` quotes each state name once, and every emitter
 renders the attributes, comments or escaped text of each distinct
-`Label` once, in a dict keyed by the label.  The transitions come in
-their `Lts`'s one sort, and the last line carries the final newline,
-so the text is built by one join.
+`Label` once, through a `functools.cache` of its render function made
+for that call.  The transitions come in their `Lts`'s one sort, and
+the last line carries the final newline, so the text is built by one
+join.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import cache
 
-from .algebra import Process, SystemNet, shared_channels
+from .algebra import Process, SystemNet, fresh_names, shared_channels
 from .errors import EmitError
 from .lts import Direction, Label, Lts, channels_of
 
 _UPPAAL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-class _Rendered(dict):
-    """render(key) for each key, computed on the first lookup."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
 
 
 def _escape(text: str) -> str:
@@ -80,7 +69,7 @@ def emit_uppaal(net: SystemNet) -> str:
     lines.append("</declaration>")
 
     next_id = 0
-    texts = _Rendered(lambda label: _uppaal_texts(label, shared))
+    texts = cache(lambda label: _uppaal_texts(label, shared))
     for inst, proc in net.components:
         if not _UPPAAL_ID_RE.match(inst):
             raise EmitError(f"instance name {inst!r} is not a valid "
@@ -106,7 +95,7 @@ def emit_uppaal(net: SystemNet) -> str:
             lines.append("    <transition>")
             lines.append(f'      <source ref="{ids[t.source]}"/>')
             lines.append(f'      <target ref="{ids[t.target]}"/>')
-            sync, comment = texts[t.label]
+            sync, comment = texts(t.label)
             if sync is not None:
                 lines.append(f'      <label kind="synchronisation" '
                              f'x="{x + 8}" y="{y + 8}">{sync}</label>')
@@ -149,10 +138,10 @@ def emit_dot(x: Process | Lts) -> str:
     for s in sorted(lts.states):
         attrs = " [init=true]" if s == lts.initial else ""
         lines.append(f"  {quoted[s]}{attrs};")
-    attrs = _Rendered(_dot_attrs)
+    attrs = cache(_dot_attrs)
     for t in lts._sorted:
         lines.append(f"  {quoted[t.source]} -> {quoted[t.target]} "
-                     f"[{attrs[t.label]}];")
+                     f"[{attrs(t.label)}];")
     lines.append("}\n")
     return "\n".join(lines)
 
@@ -185,16 +174,9 @@ def emit_lotos(p: Process) -> str:
     gates = sorted(channels_of(p.body))
     gate_list = f" [{', '.join(gates)}]" if gates else ""
 
-    proc_names: dict[str, str] = {}
-    taken: set[str] = set()
-    for s in sorted(p.body.states):
-        base = f"{p.name}_" + re.sub(r"[^A-Za-z0-9_]", "_", s)
-        cand, k = base, 2
-        while cand in taken:
-            cand = f"{base}_{k}"
-            k += 1
-        taken.add(cand)
-        proc_names[s] = cand
+    fresh = fresh_names()
+    proc_names = {s: fresh(f"{p.name}_" + re.sub(r"[^A-Za-z0-9_]", "_", s))
+                  for s in sorted(p.body.states)}
 
     lines = [
         f"(* LOTOS rendering of process {p.name} *)",
@@ -205,7 +187,7 @@ def emit_lotos(p: Process) -> str:
         "where",
         "",
     ]
-    actions = _Rendered(_lotos_action)
+    actions = cache(_lotos_action)
     for s in sorted(p.body.states):
         lines.append(f"process {proc_names[s]}{gate_list} : noexit :=")
         outgoing = p.body.outgoing(s)
@@ -214,7 +196,7 @@ def emit_lotos(p: Process) -> str:
         else:
             terms = []
             for t in outgoing:
-                terms.append(f"{actions[t.label]} "
+                terms.append(f"{actions(t.label)} "
                              f"{proc_names[t.target]}{gate_list}")
             if len(terms) == 1:
                 lines.append(f"  {terms[0]}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import HetcompError, ParseError
 
@@ -275,25 +275,33 @@ def channels_of(lts: Lts) -> set[str]:
             if t.label.comm.direction is not Direction.INTERNAL}
 
 
-def filter_facet(lts: Lts, keep: Iterable[str]) -> Lts:
-    """Drop every facet whose name is not in ``keep``.
+def _relabel(lts: Lts, f: Callable[[Label], Label]) -> Lts:
+    """lts with every label l replaced by f(l).
 
-    The communication facet is always retained.  Transitions that become
-    identical triples after relabelling merge, since the transition
-    relation is a set.
+    f runs once per distinct label and returns l itself to keep it, and
+    an edge whose label is kept is reused as it is.  Transitions that
+    become identical triples merge, since the relation is a set.
     """
-    keep = set(keep)
-    kept: dict[Label, Label] = {}  # one relabelling per distinct label
+    relabelled: dict[Label, Label] = {}
     transitions = []
     for t in lts.transitions:
-        label = kept.get(t.label)
+        label = relabelled.get(t.label)
         if label is None:
-            facets = tuple(f for f in t.label.facets if f[0] in keep)
-            label = kept[t.label] = t.label if facets == t.label.facets \
-                else Label(t.label.comm, facets)
+            label = relabelled[t.label] = f(t.label)
         transitions.append(t if label is t.label
                            else Transition(t.source, label, t.target))
     return Lts(lts.states, lts.initial, transitions)
+
+
+def filter_facet(lts: Lts, keep: Iterable[str]) -> Lts:
+    """Drop every facet whose name is not in ``keep``; the
+    communication facet is always retained."""
+    keep = set(keep)
+
+    def kept(label: Label) -> Label:
+        facets = tuple(f for f in label.facets if f[0] in keep)
+        return label if facets == label.facets else Label(label.comm, facets)
+    return _relabel(lts, kept)
 
 
 def rename_channel(lts: Lts, old: str, new: str) -> Lts:
@@ -305,17 +313,12 @@ def rename_channel(lts: Lts, old: str, new: str) -> Lts:
     """
     if old == new:
         return lts
-    renamed: dict[Label, Label] = {}  # one new label per distinct label
-    transitions = []
-    for t in lts.transitions:
-        if t.label.comm.channel == old:
-            label = renamed.get(t.label)
-            if label is None:
-                label = renamed[t.label] = Label(
-                    ChannelAction(new, t.label.comm.direction), t.label.facets)
-            t = Transition(t.source, label, t.target)
-        transitions.append(t)
-    return Lts(lts.states, lts.initial, transitions)
+
+    def renamed(label: Label) -> Label:
+        comm = label.comm
+        return label if comm.channel != old else Label(
+            ChannelAction(new, comm.direction), label.facets)
+    return _relabel(lts, renamed)
 
 
 def isomorphic(a: Lts, b: Lts) -> bool:

@@ -18,8 +18,10 @@ component interfaces.  Buffers are tracked for shared asynchronous
 channels only.
 
 One breadth-first engine, `Search`, serves `explore`, `product`,
-`traces` and `checker.check`, and each net value runs it at most once
-per state bound.  A search is a record: the states it has discovered
+`traces`, `traces_equal` and `checker.check`, and each net value runs
+it at most once per state bound; `traces` and `traces_equal` read
+state positions, not names, so only `product` needs the names to
+differ.  A search is a record: the states it has discovered
 in order, and for each state it has expanded the first parent and the
 steps, as positions into that order.  `search_of` keeps one search per
 bound on the net (in a table that is no part of the net's value, and
@@ -532,23 +534,27 @@ def product(net: SystemNet, bound: int | None = None) -> Lts:
     search.complete()
     compiled = search.compiled
     name = list(map(compiled.text, search.states))
-    if len(set(name)) < len(name):
+    labels = _labels(compiled)
+    lts = Lts(name, name[0], [Transition(source, labels[rank], name[j])
+                              for source, flat in zip(name, search.steps)
+                              for rank, j in _pairs(flat)])
+    if len(lts.states) < len(name):
         shared = next(t for t, n in Counter(name).items() if n > 1)
         raise SemanticsError(f"two reachable states are both named {shared!r}")
-    labels = _labels(compiled)
-    transitions = [Transition(source, labels[rank], name[j])
-                   for source, flat in zip(name, search.steps)
-                   for rank, j in _pairs(flat)]
-    return Lts(name, name[0], transitions)
+    return lts
+
+
+def _walk(net: SystemNet, bound: int | None) -> tuple[list[str], list]:
+    """Each rank's label text, and the steps of net's completed search."""
+    search = search_of(net, bound)
+    search.complete()
+    return [label.text for label in _labels(search.compiled)], search.steps
 
 
 def traces(net: SystemNet, k: int, bound: int | None = None
            ) -> set[tuple[str, ...]]:
     """All label-text sequences of length <= k, as a set."""
-    search = search_of(net, bound)
-    search.complete()
-    text = [label.text for label in _labels(search.compiled)]
-    steps = search.steps
+    text, steps = _walk(net, bound)
     layer = {((), 0)}
     out: set[tuple[str, ...]] = {()}
     for _ in range(k):
@@ -564,35 +570,32 @@ def traces_equal(a: SystemNet, b: SystemNet, k: int,
                  bound: int | None = None) -> bool:
     """Whether both nets have the same label traces up to length k.
 
-    Runs a synchronized subset walk over the two products instead of
-    materializing the trace sets, so it stays polynomial in the product
-    sizes even when the trace sets explode.
+    Runs a synchronized subset walk over the two search records instead
+    of materializing the trace sets, so it stays polynomial in the
+    product sizes even when the trace sets explode.  Steps of different
+    ranks with one label text are one letter.
     """
-    pa, pb = product(a, bound), product(b, bound)
+    walks = _walk(a, bound), _walk(b, bound)
 
-    def letters(lts: Lts, states: frozenset[str]) -> dict[str, frozenset[str]]:
-        merged: dict[str, set[str]] = {}
+    def letters(walk, states: frozenset[int]) -> dict[str, frozenset[int]]:
+        text, steps = walk
+        merged: dict[str, set[int]] = {}
         for s in states:
-            for t in lts.outgoing(s):
-                merged.setdefault(t.label.text, set()).add(t.target)
+            for rank, j in _pairs(steps[s]):
+                merged.setdefault(text[rank], set()).add(j)
         return {l: frozenset(v) for l, v in merged.items()}
 
-    start = (frozenset([pa.initial]), frozenset([pb.initial]))
-    frontier = [start]
-    visited = {start}
+    start = (frozenset([0]), frozenset([0]))
+    frontier, visited = {start}, {start}
     for _ in range(k):
-        nxt = []
-        for setA, setB in frontier:
-            la = letters(pa, setA)
-            lb = letters(pb, setB)
-            if set(la) != set(lb):
+        reached = set()
+        for pair in frontier:
+            la, lb = map(letters, walks, pair)
+            if la.keys() != lb.keys():
                 return False
-            for letter in la:
-                pair = (la[letter], lb[letter])
-                if pair not in visited:
-                    visited.add(pair)
-                    nxt.append(pair)
-        if not nxt:
+            reached.update((la[letter], lb[letter]) for letter in la)
+        frontier = reached - visited
+        if not frontier:
             break
-        frontier = nxt
+        visited |= frontier
     return True

@@ -103,6 +103,9 @@ def test_compose_suffix_skips_taken_names():
     net = compose(p, p2, p)
     assert net.instance_names() == ["P", "P_2", "P_3"]
     assert net.get("P_3") == p
+    net = compose(p, p2, p, p)
+    assert net.instance_names() == ["P", "P_2", "P_3", "P_4"]
+    assert net.get("P_2") == p2 and net.get("P_4") == p
 
 
 def test_compose_merges_and_checks_modes():
@@ -214,6 +217,10 @@ def test_replace_new_name_clashing_with_instance():
     out = replace(net, "P", proc("P", "c!"))
     assert out.instance_names() == ["P", "P_2", "Q"]
     assert select(out, "P_2").interface == ("c",)
+    # a net that already holds P and P_2
+    again = replace(out, "Q", proc("P", "c?"))
+    assert again.instance_names() == ["P", "P_2", "P_3", "Q"]
+    assert select(again, "P_3") == proc("P", "c?")
 
 
 def test_replace_hidden_name_collision_bumps_counter():

@@ -9,8 +9,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hetcomp import emit_dot
-from hetcomp.cli import main
+from hetcomp import compose, emit_dot, emit_lotos, emit_uppaal
+from hetcomp.cli import load_process, main
 from gen import philo_net
 
 CLI = [sys.executable, "-m", "hetcomp.cli"]
@@ -85,6 +85,87 @@ def test_chans_prints_sorted_channels(tmp_path):
     r = run_cli("run", str(script))
     assert r.returncode == 0
     assert r.stdout == "c\n"
+
+
+FACETED_A = ('digraph a { u -> v [label="c!", facets="guard:x>0|time:t<5"]; '
+             'v -> u [label="tick|data:d1"]; }\n')
+FACETED_B = ('digraph b { w -> x [label="c?", facets="time:t<9"]; '
+             'x -> w [label="d!|guard:y|time:t>1"]; }\n')
+FILTERS = """
+a = dot("a.dot")
+b = dot("b.dot")
+fa = filter(a, guard)
+fn = filter(compose(a, b), time)
+chans(fn)
+sys = compose(fa, b)
+check(sys, "A[] not deadlock")
+check(fn, "E<> a.v and b.x")
+emit_dot(sys, "sys.dot")
+emit_dot(fn, "fn.dot")
+emit_lotos(fa, "fa.lotos")
+"""
+
+
+def test_filter_of_a_process_and_a_net_then_checked_and_emitted(tmp_path,
+                                                                capsys):
+    write(tmp_path, "a.dot", FACETED_A)
+    write(tmp_path, "b.dot", FACETED_B)
+    script = write(tmp_path, "s.hcs", FILTERS)
+    out = tmp_path / "out"
+    assert main(["run", str(script), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr() == (
+        "c d\n"
+        "check A[] not deadlock: true\n"
+        "check E<> a.v and b.x: true\n"
+        "  witness (1 steps):\n"
+        "    1. c#a>b\n"
+        f"wrote {out / 'sys.dot'}\n"
+        f"wrote {out / 'fn.dot'}\n"
+        f"wrote {out / 'fa.lotos'}\n", "")
+    assert (out / "sys.dot").read_text() == """\
+digraph g {
+  "b:w,fa:u" [init=true];
+  "b:w,fa:v";
+  "b:x,fa:u";
+  "b:x,fa:v";
+  "b:w,fa:u" -> "b:x,fa:v" [label="c#fa>b"];
+  "b:w,fa:v" -> "b:w,fa:u" [label="tick"];
+  "b:x,fa:u" -> "b:w,fa:u" [label="d!", facets="guard:y|time:t>1"];
+  "b:x,fa:v" -> "b:w,fa:v" [label="d!", facets="guard:y|time:t>1"];
+  "b:x,fa:v" -> "b:x,fa:u" [label="tick"];
+}
+"""
+    assert (out / "fn.dot").read_text() == """\
+digraph g {
+  "a:u,b:w" [init=true];
+  "a:u,b:x";
+  "a:v,b:w";
+  "a:v,b:x";
+  "a:u,b:w" -> "a:v,b:x" [label="c#a>b"];
+  "a:u,b:x" -> "a:u,b:w" [label="d!", facets="time:t>1"];
+  "a:v,b:w" -> "a:u,b:w" [label="tick"];
+  "a:v,b:x" -> "a:v,b:w" [label="d!", facets="time:t>1"];
+  "a:v,b:x" -> "a:u,b:x" [label="tick"];
+}
+"""
+    assert (out / "fa.lotos").read_text() == """\
+(* LOTOS rendering of process fa *)
+(* gates are directionless; each action keeps its original
+   direction and extra facets in the trailing comment *)
+process fa [c] : noexit :=
+  fa_u [c]
+where
+
+process fa_u [c] : noexit :=
+  c; (* c!|guard:x>0 *) fa_v [c]
+endproc
+
+process fa_v [c] : noexit :=
+  i; (* tick *) fa_u [c]
+endproc
+
+endproc
+"""
 
 
 def test_unknown_outcome_exits_three(tmp_path):
@@ -320,19 +401,19 @@ def test_check_writes_no_file_for_valid_emits(tmp_path, capsys):
 # ---- convert ----
 
 def test_convert_to_each_target(tmp_path, corpus_dir):
-    src = str(corpus_dir / "dataCollector.dot")
-    r = run_cli("convert", src, "--to", "dot")
-    assert r.returncode == 0 and r.stdout.startswith("digraph ")
-    r = run_cli("convert", src, "--to", "lotos")
-    assert r.returncode == 0 and "process " in r.stdout
-    r = run_cli("convert", src, "--to", "uppaal")
-    assert r.returncode == 0
-    ET.fromstring(r.stdout)
-
-    out = tmp_path / "m.xml"
-    r = run_cli("convert", src, "--to", "uppaal", "-o", str(out))
-    assert r.returncode == 0 and out.exists()
-    assert f"wrote {out}" in r.stdout
+    src = corpus_dir / "dataCollector.dot"
+    proc = load_process(src)
+    want = {"dot": emit_dot(proc), "lotos": emit_lotos(proc),
+            "uppaal": emit_uppaal(compose(proc))}
+    assert want["dot"].startswith("digraph ") and "process " in want["lotos"]
+    ET.fromstring(want["uppaal"])
+    for to, text in want.items():
+        r = run_cli("convert", str(src), "--to", to)
+        assert r.returncode == 0 and r.stdout == text and r.stderr == ""
+        out = tmp_path / f"m.{to}"
+        r = run_cli("convert", str(src), "--to", to, "-o", str(out))
+        assert r.returncode == 0 and r.stdout == f"wrote {out}\n"
+        assert out.read_text() == text
 
 
 def test_convert_roundtrip_is_stable(tmp_path, corpus_dir):

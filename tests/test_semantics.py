@@ -298,6 +298,19 @@ def test_traces_equal_reflexive_and_detects_depth():
     assert not traces_equal(a, b, 2)
 
 
+def test_traces_equal_with_two_states_of_one_name():
+    # A:x with B:"y,B:z" and A:"x,B:y" with B:z are both "A:x,B:y,B:z",
+    # which product refuses; the walk reads positions, not names
+    net = compose(proc("A", ("u", "step", "x,B:y"), ("u", "go", "x")),
+                  proc("B", ("z", "tick", "y,B:z")))
+    plain = compose(proc("A", ("u", "step", "x_B_y"), ("u", "go", "x")),
+                    proc("B", ("z", "tick", "y_B_z")))
+    assert len(traces(net, 3)) == 8
+    assert traces(net, 3) == traces(plain, 3)
+    assert traces_equal(net, net, 3)
+    assert traces_equal(net, plain, 3) and traces_equal(plain, net, 3)
+
+
 def test_idle_component_preserves_traces():
     rng = random.Random(14)
     idle = Process("zidle", Lts(["z0"], "z0", []))
