@@ -204,16 +204,18 @@ class Interpreter:
             if len(shown) < len(steps):
                 print(f"    ... ({len(shown)} of {len(steps)} steps shown)")
 
-    def emit_uppaal(self, value: Process | SystemNet, filename: str) -> None:
+    def emit_uppaal(self, value: Process | SystemNet,
+                    filename: str | None) -> None:
         _write_output(emitters.emit_uppaal(self._moded_net(value)), filename,
                       self.options.out_dir)
 
-    def emit_dot(self, value: Process | SystemNet, filename: str) -> None:
+    def emit_dot(self, value: Process | SystemNet,
+                 filename: str | None) -> None:
         if not isinstance(value, Process):
             value = product(self._moded_net(value), self.options.bound)
         _write_output(emitters.emit_dot(value), filename, self.options.out_dir)
 
-    def emit_lotos(self, value: Process, filename: str) -> None:
+    def emit_lotos(self, value: Process, filename: str | None) -> None:
         _write_output(emitters.emit_lotos(value), filename,
                       self.options.out_dir)
 
