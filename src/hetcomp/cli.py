@@ -71,6 +71,8 @@ def _write_output(text: str, filename: str | None,
     if filename is None:
         sys.stdout.write(text)
         return
+    if not filename:
+        raise HetcompError("the output file name is empty")
     out = Path(filename)
     if not out.is_absolute() and out_dir:
         out = Path(out_dir) / out
@@ -257,8 +259,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     path = Path(args.input)
     try:
         interp = Interpreter(path, RunOptions(out_dir=args.out_dir))
-        getattr(interp, f"emit_{args.to}")(load_process(path),
-                                            args.output or None)
+        getattr(interp, f"emit_{args.to}")(load_process(path), args.output)
     except (HetcompError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

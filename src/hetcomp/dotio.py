@@ -180,13 +180,15 @@ def parse_dot_document(text: str, source: str = "<dot>") -> DotDocument:
     m = next(tokens)
     pos = m.end(1)
     while True:
+        # pos is the start of the next statement, after whitespace and
+        # comments, in both paths
+        newlines = text.count("\n", counted, pos)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, pos)
+        counted = pos
         s = stmt_at(text, pos)
         if s is not None:
-            newlines = text.count("\n", counted, pos)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", counted, pos)
-            counted = pos
             bare, quoted, arrow, bare_to, quoted_to, listed = s.groups()
             name = bare or quoted
             if escapes:
@@ -211,15 +213,9 @@ def parse_dot_document(text: str, source: str = "<dot>") -> DotDocument:
         m = next(tokens)
         if m[_SYMBOL] == "}":
             break
-        pos = m.end(1)
         if m.lastindex == _END:
             raise _error(text, source, pos,
                          "unexpected end of input: missing '}'")
-        newlines = text.count("\n", counted, pos)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", counted, pos)
-        counted = pos
         col = pos - line_start
         chain = [m[_NAME] or _name(m, text, source, "a node name or '}'")]
         m = next(tokens)

@@ -19,37 +19,42 @@ channels only.
 
 One breadth-first engine, `Search`, serves `explore`, `product`,
 `traces`, `traces_equal` and `checker.check`, and each net value runs
-it at most once per state bound; `traces` and `traces_equal` read
-state positions, not names, so only `product` needs the names to
-differ.  A search is a record: the states it has discovered
-in order, and for each state it has expanded the first parent and the
-steps, as positions into that order.  `search_of` keeps one search per
-bound on the net (in a table that is no part of the net's value, and
-that copies and pickles leave behind), and every consumer replays the
-record before it extends it.  BFS order is deterministic, so a
-consumer gets exactly what a fresh search would give it, first hits,
-witnesses and the bound's cut included.  The search runs on a compiled
-form of the net, `_Compiled`, built once per search in the manner of a
-partitioned next-state function:
+it at most once per state bound.  A search is a record: the states it
+has discovered in order, and for each state it has expanded the first
+parent and the steps, as positions into that order.  `search_of` keeps
+one search per bound on the net (in a table that is no part of the
+net's value, and that copies and pickles leave behind), and every
+consumer replays the record before it extends it.  BFS order is
+deterministic, so a consumer gets exactly what a fresh search would
+give it, first hits, witnesses and the bound's cut included.  The
+search runs on a compiled form of the net, `_Compiled`, built once per
+search in the manner of a partitioned next-state function:
 
 * every step kind the net can take (`Local`, `AsyncSend`,
   `AsyncReceive`, and `Handshake` per channel, sender and receiver)
   gets an integer rank by sorting all of them once with
   `_kind_sort_key`;
-* each component's local states are numbered once, in sorted order,
-  and the moves from every local state are compiled up front into one
-  list indexed by that number: local steps, asynchronous sends and
-  receives (with their buffer slot and capacity) and synchronous sends
-  (with the components that could receive them), each with its target
-  number and rank;
+* each component's local states are numbered once, in the order of
+  their part of a state's name (see below), and the moves from every
+  local state are compiled up front into one list indexed by that
+  number: local steps, asynchronous sends and receives (with their
+  buffer slot and capacity) and synchronous sends (with the components
+  that could receive them), each with its target number and rank;
 * a compiled global state is a flat tuple: one local int per
   component, then one buffer per shared asynchronous channel (in
   channel order) holding the senders' component indices, oldest first.
 
-A step is a (rank, target) pair, and the enabled steps of a state sort
-by rank; the record keeps them as (rank, target position) pairs.  Steps
-of equal kind (nondeterminism) are ordered by their decoded targets'
-`text`, computed for such tied groups only, so the order is exactly
+A state's name, `GlobalState.text`, joins ``inst:state`` per component
+with ``,`` and appends ``;chan=tok.tok`` per buffer.  `_quote` escapes
+``%``, ``,`` and ``;`` in each local state, so two states never share a
+name.  A step is a (rank, target) pair, and the enabled steps of a state
+sort as plain tuples; the record keeps them as (rank, target position)
+pairs.  Steps of equal rank (nondeterminism) move the same one or two
+components and leave equal buffers, so their texts differ only in those
+components' parts, each compared with the separator that follows it.
+Component i's local ints follow the order of its quoted states plus that
+separator: ``,`` for all but the last component, then ``;`` if the net
+tracks buffers and nothing if not.  So the tuple order is exactly
 `step_sort_key`'s and the local numbers never show.  `GlobalState` and
 `GlobalTransition` values are decoded only where the public contract
 needs them: `explore`, witnesses (`Search.path_to`), the public
@@ -62,10 +67,7 @@ decoding the state.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterator, Union
 
 from .algebra import ChannelMode, SystemNet, shared_channels
@@ -96,10 +98,19 @@ class GlobalState:
 
     @property
     def text(self) -> str:
-        s = ",".join(f"{inst}:{state}" for inst, state in self.locals)
+        """The state's name, ``inst:state,...;chan=tok.tok...``.
+
+        Each local state is quoted by `_quote`, so the name is one-to-one.
+        """
+        s = ",".join(f"{inst}:{_quote(state)}" for inst, state in self.locals)
         for chan, toks in self.buffers:
             s += f";{chan}=" + ".".join(toks)
         return s
+
+
+def _quote(state: str) -> str:
+    """state with the separators of `GlobalState.text` escaped."""
+    return state.replace("%", "%25").replace(",", "%2C").replace(";", "%3B")
 
 
 @dataclass(frozen=True)
@@ -224,10 +235,14 @@ class _Compiled:
         self.buffered = _buffered(table)
         slot = {c: len(names) + j for j, c in enumerate(self.buffered)}
         bodies = [proc.body for _, proc in net.components]
-        self.states = [sorted(body.states) for body in bodies]   # by local int
+        # local ints in text order: each quoted state followed by the
+        # separator after its part of a state's name
+        seps = [","] * (len(names) - 1) + [";" if self.buffered else ""]
+        self.states = [sorted(body.states, key=lambda s: _quote(s) + sep)
+                       for body, sep in zip(bodies, seps)]   # by local int
         self.index = [{state: l for l, state in enumerate(states)}
                       for states in self.states]
-        self.texts = [[f"{inst}:{state}" for state in states]   # "inst:state"
+        self.texts = [[f"{inst}:{_quote(state)}" for state in states]
                       for inst, states in zip(names, self.states)]
 
         # every step kind the net can take, with its label if it is
@@ -333,21 +348,8 @@ class _Compiled:
                         t = list(s)
                         t[i], t[j] = target, other
                         out.append((rank, tuple(t)))
-        if len(dict(out)) == len(out):
-            out.sort()
-            return out
-        return self._untie(out)
-
-    def _untie(self, out: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
-        """Sort steps by rank, and steps of equal rank by target text."""
-        out.sort(key=_rank)
-        tied = []
-        for rank, group in groupby(out, _rank):
-            targets = [t for _, t in group]
-            if len(targets) > 1:
-                targets.sort(key=self.text)
-            tied.extend((rank, t) for t in targets)
-        return tied
+        out.sort()
+        return out
 
     def decode(self, s: tuple) -> GlobalState:
         names, n = self.names, len(self.names)
@@ -373,9 +375,6 @@ class _Compiled:
     def transition(self, s: tuple, rank: int, t: tuple) -> GlobalTransition:
         return GlobalTransition(self.decode(s), self.kinds[rank],
                                 self.decode(t), self.local_labels[rank])
-
-
-_rank = itemgetter(0)
 
 
 def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:
@@ -527,21 +526,16 @@ def explore(net: SystemNet, bound: int | None = None
 def product(net: SystemNet, bound: int | None = None) -> Lts:
     """The reachable global LTS, with canonical state names and labels.
 
-    Raises SemanticsError when two reachable states get the same name,
-    which local state names containing ``,`` or ``:`` can bring about.
+    The names are the states' `GlobalState.text`, one per state.
     """
     search = search_of(net, bound)
     search.complete()
     compiled = search.compiled
     name = list(map(compiled.text, search.states))
     labels = _labels(compiled)
-    lts = Lts(name, name[0], [Transition(source, labels[rank], name[j])
-                              for source, flat in zip(name, search.steps)
-                              for rank, j in _pairs(flat)])
-    if len(lts.states) < len(name):
-        shared = next(t for t, n in Counter(name).items() if n > 1)
-        raise SemanticsError(f"two reachable states are both named {shared!r}")
-    return lts
+    return Lts(name, name[0], [Transition(source, labels[rank], name[j])
+                               for source, flat in zip(name, search.steps)
+                               for rank, j in _pairs(flat)])
 
 
 def _walk(net: SystemNet, bound: int | None) -> tuple[list[str], list]:

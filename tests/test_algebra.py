@@ -40,6 +40,9 @@ def test_explicit_interface_may_widen_but_not_miss():
     assert extract_chan(p) == ["a"]
     with pytest.raises(AlgebraError):
         Process("P", body, ["c"])
+    with pytest.raises(AlgebraError, match="invalid channel name 'no good' "
+                                           "in the interface of P"):
+        Process("P", body, ["a", "no good"])
 
 
 def test_interface_deduplicates_in_order():
@@ -59,6 +62,8 @@ def test_channel_mode_validation():
         async_mode(0)
     with pytest.raises(AlgebraError):
         ChannelMode("weird")
+    with pytest.raises(AlgebraError, match="sync channels take no capacity"):
+        ChannelMode("sync", 2)
 
 
 # ---- data-collector interfaces ----
@@ -122,6 +127,9 @@ def test_compose_merges_and_checks_modes():
 def test_compose_requires_parts():
     with pytest.raises(AlgebraError):
         compose()
+    with pytest.raises(AlgebraError,
+                       match="compose takes processes and nets, not int"):
+        compose(proc("P"), 1)
 
 
 def test_mode_of_defaults_to_sync():
@@ -137,6 +145,8 @@ def test_duplicate_instance_names_rejected():
         SystemNet([("P", p), ("P", p)])
     with pytest.raises(AlgebraError):
         SystemNet([])
+    with pytest.raises(AlgebraError, match="invalid instance name 'no good'"):
+        SystemNet([("no good", p)])
 
 
 # ---- shared channels ----

@@ -443,6 +443,13 @@ def test_convert_to_a_directory_exits_two_and_names_it(tmp_path, corpus_dir):
     assert "Traceback" not in r.stderr
 
 
+def test_convert_to_an_empty_file_name_exits_two(corpus_dir):
+    r = run_cli("convert", str(corpus_dir / "rpt1.dot"), "--to", "dot",
+                "-o", "")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: the output file name is empty\n"
+
+
 # ---- determinism ----
 
 def test_runs_are_deterministic_across_hash_seeds(tmp_path, corpus_dir):
@@ -498,16 +505,21 @@ def test_bad_bound_exits_two_on_every_call(rendezvous, capsys):
         assert "--bound" in capsys.readouterr().err
 
 
-def test_emit_of_a_product_with_two_states_of_one_name_exits_two(tmp_path):
+def test_emit_of_a_product_with_separators_in_state_names(tmp_path):
+    # a:x with b:"y,b:z" and a:"x,b:y" with b:z would share one name
+    # unquoted
     write(tmp_path, "a.dot", 'digraph A { u -> "x,b:y" [label=step]; '
                              'u -> x [label=go]; }\n')
     write(tmp_path, "b.dot", 'digraph B { z -> "y,b:z" [label=tick]; }\n')
     script = write(tmp_path, "s.hcs", 'a = dot("a.dot")\nb = dot("b.dot")\n'
                                       'emit_dot(compose(a, b), "p.dot")\n')
     r = run_cli("run", str(script), "--out-dir", str(tmp_path))
-    assert r.returncode == 2 and r.stdout == ""
-    assert "s.hcs:3:" in r.stderr and "'a:x,b:y,b:z'" in r.stderr
-    assert not (tmp_path / "p.dot").exists()
+    assert r.returncode == 0, r.stderr
+    lines = (tmp_path / "p.dot").read_text().splitlines()
+    assert [line for line in lines[1:-1] if " -> " not in line] == [
+        '  "a:u,b:y%2Cb:z";', '  "a:u,b:z" [init=true];',
+        '  "a:x%2Cb:y,b:y%2Cb:z";', '  "a:x%2Cb:y,b:z";',
+        '  "a:x,b:y%2Cb:z";', '  "a:x,b:z";']
 
 
 def test_philo_script_runs_with_closed_form_counts(tmp_path, capsys):

@@ -10,20 +10,25 @@ test run; there the closed forms decide.
 
 import random
 
-from hetcomp import (DEADLOCK_FREE, Lts, Process, StateBoundExceeded,
-                     SystemNet, Transition, check, explore, product, reach)
+from hetcomp import (DEADLOCK_FREE, Label, Lts, Process, StateBoundExceeded,
+                     SystemNet, Transition, async_mode, check, compose,
+                     explore, product, reach, with_channel_modes)
 import reference_semantics as ref
 from gen import philo_net, random_conjuncts, random_net
 
 # '!' and '+' sort below the ',' that ends a state name in a state's
-# text, '-' above it: names that order differently as names and as texts
+# text, '-' above it and below the ';' that ends the last one before
+# buffers: names that order differently as names and as texts
 ODD_NAMES = ["s", "s+", "s!x", "s-"]
+# the separators of a state's text and the quote character, whose
+# quoted forms order differently from the names
+SEPARATOR_NAMES = ["s", "s,x", "s;x", "s%2Cx"]
 
 
-def _odd_names(net):
-    """net with its components' states s0..s3 renamed to ODD_NAMES."""
+def _odd_names(net, names=ODD_NAMES):
+    """net with its components' states s0..s3 renamed to names."""
     def name(s):
-        return ODD_NAMES[int(s[1:])]
+        return names[int(s[1:])]
 
     return SystemNet(
         [(inst, Process(p.name, Lts(map(name, p.body.states),
@@ -68,9 +73,28 @@ def test_random_nets_agree_with_reference():
         net = random_net(rng, max_components=4, facets=True)
         if k % 3 == 0:
             net = _odd_names(net)
+        elif k % 3 == 1:
+            net = _odd_names(net, SEPARATOR_NAMES)
         query = reach(*random_conjuncts(rng, net))
         for bound in (None, 3, 7):
             _agree(net, bound, query)
+
+
+def test_tied_steps_of_the_last_component_before_buffers():
+    # B's two tick targets are tied; their parts of the text end in the
+    # ';' before the buffer, and "B:s-;c=" < "B:s;c=" though "s" < "s-"
+    net = with_channel_modes(compose(
+        Process("A", Lts(["a0", "a1"], "a0",
+                         [Transition("a0", Label.send("c"), "a1")])),
+        Process("B", Lts(["u", "s", "s-"], "u",
+                         [Transition("u", Label.internal("tick"), t)
+                          for t in ("s", "s-")]
+                         + [Transition("s", Label.receive("c"), "s")]))),
+        {"c": async_mode(1)})
+    states, _ = explore(net)
+    assert [g.text for g in states[:4]] == [
+        "A:a0,B:u;c=", "A:a1,B:u;c=A", "A:a0,B:s-;c=", "A:a0,B:s;c="]
+    _agree(net, None, reach(("B", "s")))
 
 
 def test_philosophers_agree_with_reference():

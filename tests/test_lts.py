@@ -99,6 +99,12 @@ def test_internal_name_restrictions():
     assert ChannelAction("c#P1>P2", Direction.INTERNAL).text == "c#P1>P2"
 
 
+def test_channel_name_must_be_token():
+    for direction in (Direction.SEND, Direction.RECEIVE):
+        with pytest.raises(HetcompError, match="invalid channel name 'a b'"):
+            ChannelAction("a b", direction)
+
+
 def test_label_validation():
     with pytest.raises(HetcompError):
         Label(ChannelAction("c", Direction.SEND), (("speed", "1"),))

@@ -58,6 +58,10 @@ def test_compose_is_variadic_and_nests():
     assert isinstance(inner, Call) and inner.func == "compose"
     with pytest.raises(ParseError):
         stmts("s = compose()")
+    with pytest.raises(ParseError, match="argument 2 of compose must be a "
+                                         "model expression, not a string") as exc:
+        stmts('p = dot("p.dot")\ns = compose(p, "q.dot")\n')
+    assert exc.value.line == 2
 
 
 def test_rename_and_replace_shapes():

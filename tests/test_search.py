@@ -121,7 +121,7 @@ def test_interleaved_iterators_over_one_search_see_one_sequence(
 
 def test_local_state_numbering_does_not_show():
     """Each component's initial state sorts last, so numbering local
-    states in sorted order differs from numbering them as found.  P's
+    states in name order differs from numbering them as found.  P's
     two "work" steps tie in rank, so target text orders them: "m+"
     sorts after "m", but "P:m+,Q:y" sorts before "P:m,Q:y".
     """

@@ -145,6 +145,8 @@ def test_global_state_accessors():
         g.local_of("B")
     with pytest.raises(SemanticsError):
         g.buffer_of("d")
+    quoted = GlobalState((("A", "a%2C,b;c"), ("B", "d")), (("c", ("A", "B")),))
+    assert quoted.text == "A:a%252C%2Cb%3Bc,B:d;c=A.B"
 
 
 def test_enabled_rejects_foreign_states():
@@ -153,8 +155,15 @@ def test_enabled_rejects_foreign_states():
     with pytest.raises(SemanticsError):
         enabled(net, initial_state(other))
     pair = _async_pair()
+    locals_ = initial_state(pair).locals
     with pytest.raises(SemanticsError, match="'Z', which is no component"):
-        enabled(pair, GlobalState(initial_state(pair).locals, (("c", ("Z",)),)))
+        enabled(pair, GlobalState(locals_, (("c", ("Z",)),)))
+    with pytest.raises(SemanticsError, match="does not match the net's comp"):
+        enabled(pair, GlobalState(locals_[:1], (("c", ()),)))
+    with pytest.raises(SemanticsError, match="tracks the wrong buffer set"):
+        enabled(pair, GlobalState(locals_, (("d", ()),)))
+    with pytest.raises(SemanticsError, match="buffer of c exceeds capacity 1"):
+        enabled(pair, GlobalState(locals_, (("c", ("A", "A")),)))
 
 
 def test_local_label_keeps_facets_verbatim():
@@ -299,8 +308,8 @@ def test_traces_equal_reflexive_and_detects_depth():
 
 
 def test_traces_equal_with_two_states_of_one_name():
-    # A:x with B:"y,B:z" and A:"x,B:y" with B:z are both "A:x,B:y,B:z",
-    # which product refuses; the walk reads positions, not names
+    # A:x with B:"y,B:z" and A:"x,B:y" with B:z, which would both be
+    # "A:x,B:y,B:z" unquoted; the walk reads positions, not names
     net = compose(proc("A", ("u", "step", "x,B:y"), ("u", "go", "x")),
                   proc("B", ("z", "tick", "y,B:z")))
     plain = compose(proc("A", ("u", "step", "x_B_y"), ("u", "go", "x")),
@@ -321,11 +330,14 @@ def test_idle_component_preserves_traces():
         assert traces_equal(net, extended, 4)
 
 
-def test_product_refuses_two_states_with_one_name():
-    # A:x with B:"y,B:z" and A:"x,B:y" with B:z are both "A:x,B:y,B:z"
+def test_product_names_states_apart_by_quoting_separators():
+    # A:x with B:"y,B:z" and A:"x,B:y" with B:z would both read
+    # "A:x,B:y,B:z" unquoted
     net = compose(proc("A", ("u", "step", "x,B:y"), ("u", "go", "x")),
                   proc("B", ("z", "tick", "y,B:z")))
     states, _ = explore(net)
-    assert len(states) == 6
-    with pytest.raises(SemanticsError, match="'A:x,B:y,B:z'"):
-        product(net)
+    lts = product(net)
+    assert len(states) == len(lts.states) == 6
+    assert sorted(g.text for g in states) == sorted(lts.states) == [
+        "A:u,B:y%2CB:z", "A:u,B:z", "A:x%2CB:y,B:y%2CB:z", "A:x%2CB:y,B:z",
+        "A:x,B:y%2CB:z", "A:x,B:z"]
