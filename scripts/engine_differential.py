@@ -2,11 +2,13 @@
 
 Runs the check of `tests/test_differential.py` (its random nets, its
 renaming and `_agree`) on --cases nets, 1,000 per seed from --seed on:
-`explore`, `product` and `check` of each net, at bounds None, 3 and 7,
-must agree with `tests/reference_semantics.py`.  Every second net has
-its states renamed, alternately to the names that order differently as
-names and as texts and to names holding the separators of a state's
-text.  Prints the number of cases and of differences, then the first
+`explore`, `product`, `traces` and `check` of each net must agree with
+`tests/reference_semantics.py` at bounds None, 3 and 7, at the net's
+reachable-state count (the smallest bound that cuts nothing off) and at
+one below it (the largest that cuts a state off; never below 1).
+Every second net has its states renamed, alternately to the names that
+order differently as names and as texts and to names holding the
+separators of a state's text.  Prints the number of cases and of differences, then the first
 few differing cases; exits 1 if there is any.
 
 Usage: PYTHONPATH=src python3 scripts/engine_differential.py --cases 100000 [--seed 100]
@@ -22,6 +24,7 @@ TESTS = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS))
 
 from hetcomp import reach  # noqa: E402
+import reference_semantics as ref  # noqa: E402
 from gen import random_conjuncts, random_net  # noqa: E402
 from test_differential import (ODD_NAMES, SEPARATOR_NAMES,  # noqa: E402
                                _agree, _odd_names)
@@ -45,7 +48,8 @@ def main() -> int:
         if names is not None:
             net = _odd_names(net, names)
         query = reach(*random_conjuncts(rng, net))
-        for bound in (None, 3, 7):
+        count = len(ref.explore(net)[0])
+        for bound in dict.fromkeys((None, 3, 7, count, max(count - 1, 1))):
             try:
                 _agree(net, bound, query)
             except Exception as e:

@@ -1,53 +1,32 @@
 """Measure how large reachable products get on random nets.
 
-Generates random nets of 2..4 small processes over a handful of
-channels, computes the reachable product, and reports its size against
-the worst-case bound (the plain product of component sizes, times the
-buffer configurations for shared async channels).
+Takes `tests/gen.py`'s random nets (2..4 small processes over one or
+two channels, some of them asynchronous), computes each reachable
+product, and reports its size against the worst-case bound (the plain
+product of component sizes, times the buffer configurations for shared
+async channels).
 
-Usage: python3 scripts/product_stats.py [n_cases] [seed]
+Usage: PYTHONPATH=src python3 scripts/product_stats.py [n_cases] [seed]
 """
 
 import random
 import sys
+from pathlib import Path
 
-import hetcomp as h
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-
-def random_lts(rng, channels, n_states):
-    states = [f"s{i}" for i in range(n_states)]
-    transitions = []
-    for _ in range(rng.randint(n_states, 2 * n_states)):
-        src, dst = rng.choice(states), rng.choice(states)
-        roll = rng.random()
-        if roll < 0.4:
-            label = h.Label.send(rng.choice(channels))
-        elif roll < 0.8:
-            label = h.Label.receive(rng.choice(channels))
-        else:
-            label = h.Label.internal("step")
-        transitions.append(h.Transition(src, label, dst))
-    return h.Lts(states, "s0", transitions)
+import hetcomp as h  # noqa: E402
+from gen import random_net  # noqa: E402
 
 
 def main():
     n_cases = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 7
     rng = random.Random(seed)
-    channels = ["a", "b", "c"]
 
     ratios = []
     for case in range(n_cases):
-        k = rng.randint(2, 4)
-        procs = [h.Process(f"P{i}", random_lts(rng, channels, rng.randint(2, 4)))
-                 for i in range(k)]
-        net = h.compose(*procs)
-        modes = {}
-        for c in channels:
-            if rng.random() < 0.3:
-                modes[c] = h.async_mode(rng.randint(1, 2))
-        net = h.with_channel_modes(net, modes)
-
+        net = random_net(rng, max_components=4)
         prod = h.product(net)
         limit = 1
         for _, p in net.components:

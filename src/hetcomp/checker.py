@@ -5,6 +5,9 @@ Two query forms are supported, mirroring the Uppaal-style notation:
     A[] not deadlock
     E<> inst.state and inst2.state2 ...
 
+An atom's instance is a token of letters, digits and `_`, its state any
+name `lts.NAME_RE` allows, so an atom splits at its first `.`.
+
 Checking reads the net's recorded search (`semantics.search_of`), the
 one `explore` and `product` read, on compiled states (a reachability
 target is a list of component index and local int pairs).  It replays
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import SystemNet
 from .errors import ParseError, QueryError
-from .semantics import (AsyncReceive, AsyncSend, GlobalTransition, Handshake,
-                        Local, search_of)
+from .semantics import GlobalTransition, search_of
 from .semantics import enabled  # noqa: F401  wrapped by perfbench/spans.py
 
 
@@ -63,7 +65,7 @@ def reach(*conjuncts: tuple[str, str]) -> Query:
     return Query("reach", tuple(conjuncts))
 
 
-_ATOM_RE = re.compile(r"([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\Z")
+_ATOM_RE = re.compile(r'([A-Za-z0-9_]+)\.([^\s"\\]+)\Z')
 
 
 def parse_query(text: str) -> Query:
@@ -136,20 +138,9 @@ def check(net: SystemNet, q: Query, bound: int | None = None) -> Verdict:
 
 
 def step_to_json(t: GlobalTransition) -> dict:
-    k = t.kind
-    base: dict = {"label": t.label.text, "to": t.target.text}
-    if isinstance(k, Handshake):
-        base.update(kind="handshake", channel=k.channel,
-                    sender=k.sender, receiver=k.receiver)
-    elif isinstance(k, AsyncSend):
-        base.update(kind="async_send", channel=k.channel, instance=k.instance)
-    elif isinstance(k, AsyncReceive):
-        base.update(kind="async_receive", channel=k.channel,
-                    instance=k.instance)
-    else:
-        assert isinstance(k, Local)
-        base.update(kind="local", instance=k.instance, action=k.action)
-    return base
+    """The step's label and target text, its kind's tag and its fields."""
+    return {"label": t.label.text, "to": t.target.text, "kind": t.kind.tag,
+            **vars(t.kind)}
 
 
 def verdict_to_json(v: Verdict) -> dict:

@@ -197,12 +197,11 @@ class Interpreter:
             return
         print(f"check {query.text}: {verdict.outcome}")
         if verdict.witness is not None:
-            steps = [checker.step_to_json(t) for t in verdict.witness]
-            shown = steps if self.options.trace_len is None \
-                else steps[:self.options.trace_len]
+            steps = verdict.witness
+            shown = steps[:self.options.trace_len]
             print(f"  witness ({len(steps)} steps):")
-            for i, step in enumerate(shown, start=1):
-                print(f"    {i}. {step['label']}")
+            for i, t in enumerate(shown, start=1):
+                print(f"    {i}. {t.label.text}")
             if len(shown) < len(steps):
                 print(f"    ... ({len(shown)} of {len(steps)} steps shown)")
 

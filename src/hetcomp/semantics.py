@@ -28,12 +28,14 @@ consumer replays the record before it extends it.  BFS order is
 deterministic, so a consumer gets exactly what a fresh search would
 give it, first hits, witnesses and the bound's cut included.  The
 search runs on a compiled form of the net, `_Compiled`, built once per
-search in the manner of a partitioned next-state function:
+search in the manner of a partitioned next-state function (`enabled`
+and `initial_state` reuse the one of the default-bound search):
 
 * every step kind the net can take (`Local`, `AsyncSend`,
   `AsyncReceive`, and `Handshake` per channel, sender and receiver)
-  gets an integer rank by sorting all of them once with
-  `_kind_sort_key`;
+  carries its tag, and gets an integer rank by sorting all of them once
+  with `_kind_sort_key` (the tag, then the kind's fields), and its
+  product label once, when `product` or `traces` first reads it;
 * each component's local states are numbered once, in the order of
   their part of a state's name (see below), and the moves from every
   local state are compiled up front into one list indexed by that
@@ -57,9 +59,9 @@ separator: ``,`` for all but the last component, then ``;`` if the net
 tracks buffers and nothing if not.  So the tuple order is exactly
 `step_sort_key`'s and the local numbers never show.  `GlobalState` and
 `GlobalTransition` values are decoded only where the public contract
-needs them: `explore`, witnesses (`Search.path_to`), the public
-`enabled` (which validates its state first) and the labels of
-`product`.  State names (`GlobalState.text` of a decoded state) are
+needs them: `explore`, witnesses (`Search.path_to`) and the public
+`enabled` (which validates its state against the compiled tables
+first).  State names (`GlobalState.text` of a decoded state) are
 joined from a per-component table of ``inst:state`` strings, without
 decoding the state.
 """
@@ -68,9 +70,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from functools import cached_property
+from typing import ClassVar, Iterator, Union
 
-from .algebra import ChannelMode, SystemNet, shared_channels
+from .algebra import SystemNet, shared_channels
 from .errors import SemanticsError, StateBoundExceeded
 from .lts import Direction, Label, Lts, Transition, parse_label
 
@@ -115,6 +118,7 @@ def _quote(state: str) -> str:
 
 @dataclass(frozen=True)
 class Handshake:
+    tag: ClassVar[str] = "handshake"
     channel: str
     sender: str
     receiver: str
@@ -122,18 +126,21 @@ class Handshake:
 
 @dataclass(frozen=True)
 class AsyncSend:
+    tag: ClassVar[str] = "async_send"
     channel: str
     instance: str
 
 
 @dataclass(frozen=True)
 class AsyncReceive:
+    tag: ClassVar[str] = "async_receive"
     channel: str
     instance: str
 
 
 @dataclass(frozen=True)
 class Local:
+    tag: ClassVar[str] = "local"
     instance: str
     action: str
 
@@ -167,54 +174,39 @@ def _label_of(kind: Kind, local_label: Label | None) -> Label:
 
 
 def _kind_sort_key(kind: Kind) -> tuple:
-    if isinstance(kind, AsyncReceive):
-        return ("async_receive", kind.channel, kind.instance, "", "")
-    if isinstance(kind, AsyncSend):
-        return ("async_send", kind.channel, kind.instance, "", "")
-    if isinstance(kind, Handshake):
-        return ("handshake", kind.channel, kind.sender, kind.receiver, "")
-    return ("local", "", kind.instance, "", kind.action)
+    """The kind's tag, then its fields: tags order the kinds apart."""
+    return (kind.tag, *vars(kind).values())
 
 
 def step_sort_key(t: GlobalTransition) -> tuple:
     return _kind_sort_key(t.kind) + (t.target.text,)
 
 
-def _channel_table(net: SystemNet) -> dict[str, ChannelMode]:
-    """Each shared channel with its mode, in channel order."""
-    return {c: net.mode_of(c) for c in sorted(shared_channels(net))}
-
-
-def _buffered(table: dict[str, ChannelMode]) -> list[str]:
-    return [c for c, mode in table.items() if mode.kind == "async"]
-
-
 def initial_state(net: SystemNet) -> GlobalState:
-    locals_ = tuple((inst, proc.body.initial) for inst, proc in net.components)
-    return GlobalState(locals_, tuple((c, ()) for c in tracked_buffers(net)))
+    compiled = search_of(net).compiled
+    return compiled.decode(compiled.initial)
 
 
 def tracked_buffers(net: SystemNet) -> list[str]:
     """Shared async channels, the ones whose buffers are part of state."""
-    return _buffered(_channel_table(net))
+    return list(search_of(net).compiled.buffered)
 
 
-def _check_consistent(net: SystemNet, table: dict[str, ChannelMode],
-                      g: GlobalState) -> None:
-    if [inst for inst, _ in g.locals] != net.instance_names():
+def _check_consistent(compiled: _Compiled, g: GlobalState) -> None:
+    if [inst for inst, _ in g.locals] != compiled.names:
         raise SemanticsError("global state does not match the net's components")
-    for inst, state in g.locals:
-        if state not in net.get(inst).body.states:
+    for (inst, state), index in zip(g.locals, compiled.index):
+        if state not in index:
             raise SemanticsError(
                 f"state {state!r} is not a state of component {inst}")
-    if [c for c, _ in g.buffers] != _buffered(table):
+    if [c for c, _ in g.buffers] != compiled.buffered:
         raise SemanticsError("global state tracks the wrong buffer set")
     for chan, toks in g.buffers:
-        cap = table[chan].capacity
+        cap = compiled.table[chan].capacity
         if len(toks) > cap:
             raise SemanticsError(f"buffer of {chan} exceeds capacity {cap}")
         for tok in toks:
-            if not net.has(tok):
+            if tok not in compiled.position:
                 raise SemanticsError(
                     f"buffer of {chan} holds {tok!r}, which is no component")
 
@@ -229,10 +221,12 @@ class _Compiled:
     """
 
     def __init__(self, net: SystemNet):
-        self.table = table = _channel_table(net)
+        # each shared channel with its mode, in channel order
+        self.table = table = {c: net.mode_of(c)
+                              for c in sorted(shared_channels(net))}
         self.names = names = net.instance_names()
         self.position = {inst: i for i, inst in enumerate(names)}
-        self.buffered = _buffered(table)
+        self.buffered = [c for c, mode in table.items() if mode.kind == "async"]
         slot = {c: len(names) + j for j, c in enumerate(self.buffered)}
         bodies = [proc.body for _, proc in net.components]
         # local ints in text order: each quoted state followed by the
@@ -321,6 +315,12 @@ class _Compiled:
                              in zip(self.index, bodies)
                              ) + ((),) * len(self.buffered)
 
+    @cached_property
+    def labels(self) -> list[Label]:
+        """Each rank's product label, built on first use: checks need none."""
+        return [_label_of(kind, label) for kind, label
+                in zip(self.kinds, self.local_labels)]
+
     def successors(self, s: tuple) -> list[tuple[int, tuple]]:
         """The enabled steps of s as (rank, target) in canonical order."""
         out = []
@@ -379,11 +379,10 @@ class _Compiled:
 
 def enabled(net: SystemNet, g: GlobalState) -> list[GlobalTransition]:
     """All global transitions permitted from g, in canonical order."""
-    compiled = _Compiled(net)
-    _check_consistent(net, compiled.table, g)
+    compiled = search_of(net).compiled
+    _check_consistent(compiled, g)
     s = compiled.encode(g)
-    return [GlobalTransition(g, compiled.kinds[rank], compiled.decode(t),
-                             compiled.local_labels[rank])
+    return [compiled.transition(s, rank, t)
             for rank, t in compiled.successors(s)]
 
 
@@ -498,12 +497,6 @@ def _pairs(flat: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     return zip(it, it)
 
 
-def _labels(compiled: _Compiled) -> list[Label]:
-    """The product-level label of each step kind, by rank."""
-    return [_label_of(kind, local_label) for kind, local_label
-            in zip(compiled.kinds, compiled.local_labels)]
-
-
 def explore(net: SystemNet, bound: int | None = None
             ) -> tuple[list[GlobalState], dict[GlobalState, list[GlobalTransition]]]:
     """BFS over reachable global states.
@@ -532,7 +525,7 @@ def product(net: SystemNet, bound: int | None = None) -> Lts:
     search.complete()
     compiled = search.compiled
     name = list(map(compiled.text, search.states))
-    labels = _labels(compiled)
+    labels = compiled.labels
     return Lts(name, name[0], [Transition(source, labels[rank], name[j])
                                for source, flat in zip(name, search.steps)
                                for rank, j in _pairs(flat)])
@@ -542,7 +535,7 @@ def _walk(net: SystemNet, bound: int | None) -> tuple[list[str], list]:
     """Each rank's label text, and the steps of net's completed search."""
     search = search_of(net, bound)
     search.complete()
-    return [label.text for label in _labels(search.compiled)], search.steps
+    return [label.text for label in search.compiled.labels], search.steps
 
 
 def traces(net: SystemNet, k: int, bound: int | None = None

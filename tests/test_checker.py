@@ -35,6 +35,22 @@ def test_parse_reach_query():
     assert parse_query("E<> a.s") == reach(("a", "s"))
 
 
+def test_parse_reach_query_takes_any_state_name():
+    # the state part is any name a model may give a state: DOT bare names
+    # allow '.', quoted ones all but whitespace, '"' and '\\'; an atom
+    # splits at its first '.', since the instance is a token
+    for text, conjuncts in [("E<> a.s.1", [("a", "s.1")]),
+                            ("E<> a.s-2", [("a", "s-2")]),
+                            ("E<> a.s,x;y and b.%+!", [("a", "s,x;y"),
+                                                       ("b", "%+!")])]:
+        q = parse_query(text)
+        assert q == reach(*conjuncts)
+        assert q.text == text and parse_query(q.text) == q
+    for bad in ['E<> a.s"x', "E<> a.s\\x", "E<> a-b.s", "E<> .s"]:
+        with pytest.raises(ParseError):
+            parse_query(bad)
+
+
 def test_parse_query_errors():
     for bad in ["", "deadlock", "A[] deadlock", "E<>", "E<> a", "E<> a.",
                 "E<> a.s and", "E<> a.s or b.t", "A<> not deadlock"]:
@@ -260,9 +276,21 @@ def test_step_json_other_kinds():
                                   "to": "A:u,B:w;c=A"}
     (recv,) = [t for t in enabled(net, send.target)
                if t.kind.__class__.__name__ == "AsyncReceive"]
-    assert step_to_json(recv)["kind"] == "async_receive"
+    assert step_to_json(recv) == {"kind": "async_receive", "channel": "c",
+                                  "instance": "B", "label": "c?@B",
+                                  "to": "A:u,B:w;c="}
     local_net = compose(proc("A", ("u", "z!", "v")))
     (loc,) = enabled(local_net, initial_state(local_net))
     assert step_to_json(loc) == {"kind": "local", "instance": "A",
                                  "action": "z!", "label": "z!",
                                  "to": "A:v"}
+    sync_net = compose(proc("A", ("u", "c!", "v")), proc("B", ("w", "c?", "x")))
+    (shake,) = enabled(sync_net, initial_state(sync_net))
+    assert step_to_json(shake) == {"kind": "handshake", "channel": "c",
+                                   "sender": "A", "receiver": "B",
+                                   "label": "c#A>B", "to": "A:v,B:x"}
+    # the keys come in one order: label, to, kind, then the kind's fields
+    assert [list(step_to_json(t)) for t in (send, loc, shake)] == [
+        ["label", "to", "kind", "channel", "instance"],
+        ["label", "to", "kind", "instance", "action"],
+        ["label", "to", "kind", "channel", "sender", "receiver"]]

@@ -348,6 +348,19 @@ def test_trace_len_truncates_text_output(tmp_path):
 
 # ---- check subcommand ----
 
+def test_check_reaches_states_named_with_dots_and_dashes(tmp_path):
+    write(tmp_path, "a.dot", 'digraph a { s.0 -> s.1 [label="go"]; '
+          's.1 -> "s-2" [label="go"]; }\n')
+    script = write(tmp_path, "s.hcs", 'a = dot("a.dot")\nsys = compose(a)\n'
+                   'check(sys, "E<> a.s.1")\ncheck(sys, "E<> a.s-2")\n')
+    r = run_cli("check", str(script))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ("check E<> a.s.1: true\n"
+                        "  witness (1 steps):\n    1. go\n"
+                        "check E<> a.s-2: true\n"
+                        "  witness (2 steps):\n    1. go\n    2. go\n")
+
+
 def test_check_runs_but_writes_nothing(tmp_path, corpus_dir):
     r = run_cli("check", str(corpus_dir / "case_study.hcs"),
                 "--out-dir", str(tmp_path))

@@ -2,19 +2,20 @@
 
 `reference_semantics` is the engine hetcomp ran before it compiled nets
 to integer states.  `explore`, `check` (both query forms, witnesses and
-their labels included) and `product` must agree with it exactly: same
-states in the same discovery order, same canonical step order, same
-bound errors.  Philosophers at n=11 are past the reference's reach in a
-test run; there the closed forms decide.
+their labels included), `product` and `traces` must agree with it
+exactly: same states in the same discovery order, same canonical step
+order, same bound errors.  Philosophers at n=11 are past the
+reference's reach in a test run; there the closed forms decide.
 """
 
 import random
 
 from hetcomp import (DEADLOCK_FREE, Label, Lts, Process, StateBoundExceeded,
                      SystemNet, Transition, async_mode, check, compose,
-                     explore, product, reach, with_channel_modes)
+                     explore, product, reach, traces, with_channel_modes)
 import reference_semantics as ref
 from gen import philo_net, random_conjuncts, random_net
+from test_search import _ref_traces
 
 # '!' and '+' sort below the ',' that ends a state name in a state's
 # text, '-' above it and below the ';' that ends the last one before
@@ -63,6 +64,8 @@ def _verdict(v):
 def _agree(net, bound, query):
     assert _explored(net, bound, explore) == _explored(net, bound, ref.explore)
     assert _outcome(product, net, bound) == _outcome(ref.product, net, bound)
+    assert (_outcome(traces, net, 3, bound)
+            == _outcome(_ref_traces, net, 3, bound))
     for q in (DEADLOCK_FREE, query):
         assert _verdict(check(net, q, bound)) == _verdict(ref.check(net, q, bound))
 
